@@ -12,10 +12,9 @@ Usage:
 
 import argparse
 
-from hgdual.exact_algebra import rat, rat_str
-from hgdual.hypergeometric import HGParams, duality_matrix, hg_operator
-from hgdual.q_hypergeometric import QHGParams, q_duality_matrix, qhg_operator
-from hgdual.skew_operators import psi_matrix, psi_q_matrix
+import hgdual.hypergeometric as hg
+import hgdual.q_hypergeometric as qhg
+from hgdual.exact_algebra import rat
 
 
 def poly_str(p):
@@ -26,11 +25,11 @@ def poly_str(p):
         if c == 0:
             continue
         if j == 0:
-            parts.append(rat_str(c))
+            parts.append(str(c))
         elif j == 1:
-            parts.append("%s*z" % rat_str(c))
+            parts.append("%s*z" % str(c))
         else:
-            parts.append("%s*z^%d" % (rat_str(c), j))
+            parts.append("%s*z^%d" % (str(c), j))
     return " + ".join(parts)
 
 
@@ -59,25 +58,20 @@ def main():
 
     a = [rat(x) for x in args.a.split(",")]
     b = [rat(x) for x in args.b.split(",")]
-    if args.qshift:
-        if args.q is None:
-            ap.error("--qshift requires --q")
-        p = QHGParams.make(args.q, a, b)
-        op = qhg_operator(p)
-        psi = psi_q_matrix(op)
-        m = q_duality_matrix(p)
-    else:
-        p = HGParams.make(a, b)
-        op = hg_operator(p)
-        psi = psi_matrix(op)
-        m = duality_matrix(p)
+    if args.qshift and args.q is None:
+        ap.error("--qshift requires --q")
+    family, base = (qhg, (args.q,)) if args.qshift else (hg, ())
+    p = family.Params.make(*base, a, b)
+    op = family.operator(p)
+    psi = family.psi(op)
+    m = family.duality_matrix(p)
 
     print("parameters: a = (%s), b = (%s)" % (
-        ", ".join(rat_str(x) for x in p.a),
-        ", ".join(rat_str(x) for x in p.b),
+        ", ".join(str(x) for x in p.a),
+        ", ".join(str(x) for x in p.b),
     ))
     if args.qshift:
-        print("base q = %s" % rat_str(p.q))
+        print("base q = %s" % str(p.q))
     print("operator coefficients:")
     for j, c in enumerate(op.coeffs):
         print("  A[%d] = %s" % (j, ratfunc_str(c)))

@@ -9,42 +9,19 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 
-from .exact_algebra import Q, is_integer, rat, rat_str
-from .hypergeometric import (
-    DegenerateParameters,
-    HGParams,
-    closed_form_m_r2,
-    closed_form_m_r3,
-    dual_unit,
-    duality_matrix,
-    hg_dual_params,
-    hg_operator,
-    verify_euler_identity,
-    verify_theorem1,
-)
-from .q_hypergeometric import (
-    QHGParams,
-    closed_form_mq_r2,
-    closed_form_mq_r3,
-    q_dual_unit,
-    q_duality_matrix,
-    qhg_dual_params,
-    qhg_operator,
-    verify_heine_identity,
-    verify_theorem2,
-)
+from . import hypergeometric as hg
+from . import q_hypergeometric as qhg
+from .exact_algebra import rat
+from .hypergeometric import DegenerateParameters
 from .skew_operators import (
     DegenerateOperator,
     InsufficientPrecision,
-    dual_operator,
     matrix_det,
     matrix_identity,
     matrix_mul,
-    psi_matrix,
-    psi_q_matrix,
-    q_dual_operator,
+    minimum_order,
 )
 
 EXIT_PASS = 0
@@ -54,107 +31,54 @@ EXIT_DEGENERATE = 3
 EXIT_PRECISION = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Frozen snapshot of one invocation."""
-
-    command: str
-    qmode: bool
-    r: int
-    a: tuple
-    b: tuple
-    q: object
-    order: int
-    samples: int
-    seed: int
-    output_format: str
-    check: bool
-
-
-# --------------------------------------------------------------------------
-# parameter acquisition
-
-
-def _sample_rational(rng):
-    return Q(rng.randint(1, 97), rng.randint(1, 97))
-
-
-def sample_theta_params(rng, r):
-    """Random generic parameters; integer upper parameters are rejected so
-    the dual parameter list stays inside the validated class."""
-    while True:
-        a = tuple(_sample_rational(rng) for _ in range(r))
-        if any(is_integer(x) for x in a):
-            continue
-        b_head = tuple(_sample_rational(rng) for _ in range(r - 1))
-        try:
-            return HGParams.make(a, b_head)
-        except DegenerateParameters:
-            continue
-
-
-def sample_qshift_params(rng, r, q):
-    while True:
-        a = tuple(_sample_rational(rng) for _ in range(r))
-        b_head = tuple(_sample_rational(rng) for _ in range(r - 1))
-        try:
-            return QHGParams.make(q, a, b_head)
-        except DegenerateParameters:
-            continue
-
-
-def resolve_params(cfg):
-    """Explicit --a/--b pin a single tuple; otherwise draw cfg.samples
+def resolve_params(args):
+    """Explicit --a/--b pin a single tuple; otherwise draw args.samples
     seeded tuples (rejection until generic)."""
-    if cfg.a:
-        if cfg.qmode:
-            return [QHGParams.make(cfg.q, cfg.a, cfg.b)]
-        return [HGParams.make(cfg.a, cfg.b)]
-    rng = random.Random(cfg.seed)
-    if cfg.qmode:
-        return [sample_qshift_params(rng, cfg.r, cfg.q) for _ in range(cfg.samples)]
-    return [sample_theta_params(rng, cfg.r) for _ in range(cfg.samples)]
+    family = args.family
+    if args.a:
+        return [family.Params.make(*args.base, args.a, args.b)]
+    rng = random.Random(args.seed)
+    return [
+        family.sample_params(rng, args.r, *args.base) for _ in range(args.samples)
+    ]
 
 
 # --------------------------------------------------------------------------
-# serialization
+# reports: each command builds one JSON document per sample; the text form
+# is rendered from the same documents
 
 
 def coeff_strings(poly):
-    return [rat_str(c) for c in poly.coeffs]
+    return [str(c) for c in poly.coeffs]
 
 
 def ratfunc_json(f):
     return {"num": coeff_strings(f.num), "den": coeff_strings(f.den)}
 
 
-def ratfunc_text(f):
-    return "num [%s] den [%s]" % (
-        ", ".join(coeff_strings(f.num)),
-        ", ".join(coeff_strings(f.den)),
-    )
+def ratfunc_text(doc):
+    return "num [%s] den [%s]" % (", ".join(doc["num"]), ", ".join(doc["den"]))
 
 
 def tuple_text(values):
-    return "(" + ", ".join(rat_str(x) for x in values) + ")"
+    return "(%s)" % ", ".join(values)
 
 
-def params_json(p, qmode):
-    out = {
-        "r": p.r,
-        "a": [rat_str(x) for x in p.a],
-        "b": [rat_str(x) for x in p.b],
-    }
-    if qmode:
-        out["q"] = rat_str(p.q)
-    return out
+def params_json(p):
+    """r, a and b, then the other fields of the tuple: the base q of the q
+    family."""
+    doc = {"r": p.r, "a": [str(x) for x in p.a], "b": [str(x) for x in p.b]}
+    names = [f.name for f in fields(p) if f.name not in doc]
+    doc.update((name, str(getattr(p, name))) for name in names)
+    return doc
 
 
-def params_text(p, qmode):
-    line = "a = %s, b = %s" % (tuple_text(p.a), tuple_text(p.b))
-    if qmode:
-        line += ", q = %s" % rat_str(p.q)
-    return line
+def params_text(doc):
+    return ", ".join(
+        "%s = %s" % (key, tuple_text(value) if isinstance(value, list) else value)
+        for key, value in doc.items()
+        if key != "r"
+    )
 
 
 def cell_json(cell):
@@ -162,183 +86,130 @@ def cell_json(cell):
     if cell.expected is not None:
         out["expected"] = ratfunc_json(cell.expected)
     if cell.got_prefix is not None:
-        out["got"] = [rat_str(c) for c in cell.got_prefix]
+        out["got"] = [str(c) for c in cell.got_prefix]
     return out
 
 
-def report_json(cfg, p, order, report):
-    return {
-        "command": cfg.command,
-        "params": params_json(p, cfg.qmode),
-        "order": order,
-        "results": [cell_json(c) for c in report.cells],
-    }
+def verdict(passed):
+    return "pass" if passed else "FAIL"
 
 
-def emit_json(payloads):
-    """Single run prints the bare object; multi-sample runs print an array."""
-    doc = payloads[0] if len(payloads) == 1 else payloads
-    print(json.dumps(doc, indent=2))
+def all_passed(doc):
+    return all(row["pass"] for row in doc["results"])
+
+
+def emit(args, docs, text):
+    """Print the reports of one run: in JSON a bare object for a single
+    document and an array for several, in text the lines text(docs)."""
+    if args.output_format == "json":
+        print(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2))
+    else:
+        for line in text(docs):
+            print(line)
 
 
 # --------------------------------------------------------------------------
 # subcommands
 
 
-def _operator(cfg, p):
-    return qhg_operator(p) if cfg.qmode else hg_operator(p)
-
-
-def cmd_dual(cfg):
-    payloads = []
-    for p in resolve_params(cfg):
-        op = _operator(cfg, p)
-        star = q_dual_operator(op) if cfg.qmode else dual_operator(op)
-        if cfg.qmode:
-            dp, rho = qhg_dual_params(p)
-            unit = q_dual_unit(p)
-        else:
-            dp, rho = hg_dual_params(p), None
-            unit = rat(dual_unit(p.r))
-        if cfg.output_format == "json":
-            payload = {
-                "command": cfg.command,
-                "params": params_json(p, cfg.qmode),
-                "operator": [ratfunc_json(c) for c in op.coeffs],
-                "dual_operator": [ratfunc_json(c) for c in star.coeffs],
-                "dual_params": params_json(dp, cfg.qmode),
-                "unit": rat_str(unit),
-            }
-            if rho is not None:
-                payload["rho"] = rat_str(rho)
-            payloads.append(payload)
-        else:
-            print("parameters: %s" % params_text(p, cfg.qmode))
-            print("operator:")
-            for j, c in enumerate(op.coeffs):
-                print("  A[%d] = %s" % (j, ratfunc_text(c)))
-            print("dual operator:")
-            for j, c in enumerate(star.coeffs):
-                print("  A*[%d] = %s" % (j, ratfunc_text(c)))
-            print("dual parameters:")
-            print("  a' = %s" % tuple_text(dp.a))
-            print("  b' = %s" % tuple_text(dp.b))
-            print("unit = %s" % rat_str(unit))
-            if rho is not None:
-                print("rho = %s" % rat_str(rho))
-    if cfg.output_format == "json":
-        emit_json(payloads)
+def cmd_dual(args):
+    family = args.family
+    docs = []
+    for p in resolve_params(args):
+        op = family.operator(p)
+        doc = {
+            "command": args.command,
+            "params": params_json(p),
+            "operator": [ratfunc_json(c) for c in op.coeffs],
+            "dual_operator": [ratfunc_json(c) for c in family.dual_operator(op).coeffs],
+            "dual_params": params_json(p.dual()),
+            "unit": str(family.dual_unit(p)),
+        }
+        rho = family.argument_rescale(p)
+        if rho is not None:
+            doc["rho"] = str(rho)
+        docs.append(doc)
+    emit(args, docs, dual_text)
     return EXIT_PASS
 
 
-def _psi_det_expected(cfg, p, op):
-    """det Psi closed form: A_r^r, resp. (-1)^r shift(A_r, -1) prod shift(A_0, k)."""
-    r = p.r
-    if not cfg.qmode:
-        acc = op.coefficient(r)
-        for _ in range(r - 1):
-            acc = acc * op.coefficient(r)
-        return acc
-    acc = op.coefficient(r).scale_arg(1 / p.q)
-    if r % 2:
-        acc = -acc
-    power = Q(1)
-    for _ in range(r - 1):
-        acc = acc * op.coefficient(0).scale_arg(power)
-        power *= p.q
-    return acc
+def dual_text(docs):
+    for doc in docs:
+        yield "parameters: %s" % params_text(doc["params"])
+        yield "operator:"
+        for j, c in enumerate(doc["operator"]):
+            yield "  A[%d] = %s" % (j, ratfunc_text(c))
+        yield "dual operator:"
+        for j, c in enumerate(doc["dual_operator"]):
+            yield "  A*[%d] = %s" % (j, ratfunc_text(c))
+        yield "dual parameters:"
+        yield "  a' = %s" % tuple_text(doc["dual_params"]["a"])
+        yield "  b' = %s" % tuple_text(doc["dual_params"]["b"])
+        for key in ("unit", "rho"):
+            if key in doc:
+                yield "%s = %s" % (key, doc[key])
 
 
-def cmd_psi(cfg):
-    payloads = []
-    failed = False
-    for p in resolve_params(cfg):
-        op = _operator(cfg, p)
-        mat = psi_q_matrix(op) if cfg.qmode else psi_matrix(op)
-        check = None
-        if cfg.check:
-            check = matrix_det(mat) == _psi_det_expected(cfg, p, op)
-            failed = failed or not check
-        if cfg.output_format == "json":
-            payload = {
-                "command": cfg.command,
-                "params": params_json(p, cfg.qmode),
-                "entries": [[ratfunc_json(e) for e in row] for row in mat],
-            }
-            if check is not None:
-                payload["check"] = check
-            payloads.append(payload)
-        else:
-            print("parameters: %s" % params_text(p, cfg.qmode))
-            for k, row in enumerate(mat):
-                for l, e in enumerate(row):
-                    print("  Psi[%d][%d] = %s" % (k, l, ratfunc_text(e)))
-            if check is not None:
-                print("check det: %s" % ("pass" if check else "FAIL"))
-    if cfg.output_format == "json":
-        emit_json(payloads)
-    return EXIT_MISMATCH if failed else EXIT_PASS
+# command -> (name of the printed matrix, what its --check certifies)
+MATRIX_NAMES = {"psi": ("Psi", "det"), "matrix": ("M", "inverse")}
 
 
-def cmd_matrix(cfg):
-    payloads = []
-    failed = False
-    for p in resolve_params(cfg):
-        op = _operator(cfg, p)
-        if cfg.qmode:
-            mat = q_duality_matrix(p)
-            pairing = psi_q_matrix(op)
-        else:
-            mat = duality_matrix(p)
-            pairing = psi_matrix(op)
-        check = None
-        if cfg.check:
-            check = matrix_mul(mat, pairing) == matrix_identity(p.r)
-            failed = failed or not check
-        if cfg.output_format == "json":
-            payload = {
-                "command": cfg.command,
-                "params": params_json(p, cfg.qmode),
-                "entries": [[ratfunc_json(e) for e in row] for row in mat],
-            }
-            if check is not None:
-                payload["check"] = check
-            payloads.append(payload)
-        else:
-            print("parameters: %s" % params_text(p, cfg.qmode))
-            for k, row in enumerate(mat):
-                for l, e in enumerate(row):
-                    print("  M[%d][%d] = %s" % (k, l, ratfunc_text(e)))
-            if check is not None:
-                print("check inverse: %s" % ("pass" if check else "FAIL"))
-    if cfg.output_format == "json":
-        emit_json(payloads)
-    return EXIT_MISMATCH if failed else EXIT_PASS
+def cmd_matrix(args):
+    """psi prints the pairing matrix Psi and checks det Psi against the
+    family's closed form; matrix prints M = Psi^{-1} and checks M Psi = 1."""
+    family = args.family
+    docs = []
+    for p in resolve_params(args):
+        op = family.operator(p)
+        pairing = family.psi(op)
+        mat = pairing if args.command == "psi" else family.duality_matrix(p)
+        doc = {
+            "command": args.command,
+            "params": params_json(p),
+            "entries": [[ratfunc_json(e) for e in row] for row in mat],
+        }
+        if args.check and args.command == "psi":
+            doc["check"] = matrix_det(mat) == family.psi_det(op)
+        elif args.check:
+            doc["check"] = matrix_mul(mat, pairing) == matrix_identity(p.r)
+        docs.append(doc)
+    emit(args, docs, matrix_text)
+    return EXIT_PASS if all(doc.get("check", True) for doc in docs) else EXIT_MISMATCH
 
 
-def cmd_verify(cfg):
-    order = cfg.order if cfg.order is not None else 4 * cfg.r + 8
-    payloads = []
-    all_passed = True
-    for idx, p in enumerate(resolve_params(cfg)):
-        report = (
-            verify_theorem2(p, order) if cfg.qmode else verify_theorem1(p, order)
-        )
-        all_passed = all_passed and report.passed
-        if cfg.output_format == "json":
-            payloads.append(report_json(cfg, p, order, report))
-        else:
-            print("sample %d: %s" % (idx, params_text(p, cfg.qmode)))
-            for cell in report.cells:
-                print(
-                    "  cell %s: %s" % (cell.label, "pass" if cell.passed else "FAIL")
-                )
-            print("sample %d result: %s" % (idx, "pass" if report.passed else "FAIL"))
-    if cfg.output_format == "json":
-        emit_json(payloads)
-    else:
-        print("overall: %s" % ("pass" if all_passed else "FAIL"))
-    return EXIT_PASS if all_passed else EXIT_MISMATCH
+def matrix_text(docs):
+    for doc in docs:
+        name, checked = MATRIX_NAMES[doc["command"]]
+        yield "parameters: %s" % params_text(doc["params"])
+        for k, row in enumerate(doc["entries"]):
+            for l, e in enumerate(row):
+                yield "  %s[%d][%d] = %s" % (name, k, l, ratfunc_text(e))
+        if "check" in doc:
+            yield "check %s: %s" % (checked, verdict(doc["check"]))
+
+
+def cmd_verify(args):
+    order = args.order if args.order is not None else minimum_order(args.r)
+    docs = [
+        {
+            "command": args.command,
+            "params": params_json(p),
+            "order": order,
+            "results": [cell_json(c) for c in args.family.verify(p, order).cells],
+        }
+        for p in resolve_params(args)
+    ]
+    emit(args, docs, verify_text)
+    return EXIT_PASS if all(map(all_passed, docs)) else EXIT_MISMATCH
+
+
+def verify_text(docs):
+    for idx, doc in enumerate(docs):
+        yield "sample %d: %s" % (idx, params_text(doc["params"]))
+        for cell in doc["results"]:
+            yield "  cell (%d,%d): %s" % (*cell["cell"], verdict(cell["pass"]))
+        yield "sample %d result: %s" % (idx, verdict(all_passed(doc)))
+    yield "overall: %s" % verdict(all(map(all_passed, docs)))
 
 
 # Embedded generic fixtures for the regression command: (a, b_head) tuples,
@@ -388,22 +259,23 @@ HEINE_FIXTURES = (
 
 
 def _matrix_cases():
-    for i, (a, bh) in enumerate(THETA_R2_FIXTURES):
-        p = HGParams.make([rat(x) for x in a], [rat(x) for x in bh])
-        yield "m-r2", i, duality_matrix(p), closed_form_m_r2(p)
-    for i, (a, bh) in enumerate(THETA_R3_FIXTURES):
-        p = HGParams.make([rat(x) for x in a], [rat(x) for x in bh])
-        yield "m-r3", i, duality_matrix(p), closed_form_m_r3(p)
-    for i, (q, a, bh) in enumerate(QSHIFT_R2_FIXTURES):
-        p = QHGParams.make(rat(q), [rat(x) for x in a], [rat(x) for x in bh])
-        yield "mq-r2", i, q_duality_matrix(p), closed_form_mq_r2(p)
-    for i, (q, a, bh) in enumerate(QSHIFT_R3_FIXTURES):
-        p = QHGParams.make(rat(q), [rat(x) for x in a], [rat(x) for x in bh])
-        yield "mq-r3", i, q_duality_matrix(p), closed_form_mq_r3(p)
+    for case, family, fixtures, closed_form in (
+        ("m-r2", hg, THETA_R2_FIXTURES, hg.closed_form_m_r2),
+        ("m-r3", hg, THETA_R3_FIXTURES, hg.closed_form_m_r3),
+        ("mq-r2", qhg, QSHIFT_R2_FIXTURES, qhg.closed_form_mq_r2),
+        ("mq-r3", qhg, QSHIFT_R3_FIXTURES, qhg.closed_form_mq_r3),
+    ):
+        for i, fixture in enumerate(fixtures):
+            p = family.Params.make(*fixture)
+            yield case, i, family.duality_matrix(p), closed_form(p)
 
 
-def cmd_paper_regression(cfg):
-    order = cfg.order if cfg.order is not None else 40
+def cmd_paper_regression(args):
+    order = args.order if args.order is not None else 40
+    # below the least order verify certifies (r = 2) the product identities
+    # would check little more than constant terms
+    if order < minimum_order(2):
+        raise InsufficientPrecision(order, minimum_order(2))
     results = []
     for case, i, computed, closed in _matrix_cases():
         r = len(computed)
@@ -417,40 +289,32 @@ def cmd_paper_regression(cfg):
                         "pass": computed[k][l] == closed[k][l],
                     }
                 )
-    for i, (a1, a2, b1) in enumerate(EULER_FIXTURES):
-        report = verify_euler_identity(rat(a1), rat(a2), rat(b1), order)
-        for cell in report.cells:
-            entry = {"case": "euler", "sample": i}
-            entry.update(cell_json(cell))
-            results.append(entry)
-    for i, (a1, a2, b1, q) in enumerate(HEINE_FIXTURES):
-        report = verify_heine_identity(rat(a1), rat(a2), rat(b1), rat(q), order)
-        for cell in report.cells:
-            entry = {"case": "heine", "sample": i}
-            entry.update(cell_json(cell))
-            results.append(entry)
-    all_passed = all(r["pass"] for r in results)
-    if cfg.output_format == "json":
-        print(
-            json.dumps(
-                {"command": cfg.command, "order": order, "results": results},
-                indent=2,
-            )
-        )
-    else:
-        by_case = {}
-        for r in results:
-            by_case.setdefault(r["case"], []).append(r)
-        for case, rows in by_case.items():
-            bad = [r for r in rows if not r["pass"]]
-            print(
-                "case %s: %s (%d checks)"
-                % (case, "pass" if not bad else "FAIL", len(rows))
-            )
-            for r in bad:
-                print("  FAIL sample %d cell %s" % (r["sample"], r["cell"]))
-        print("overall: %s" % ("pass" if all_passed else "FAIL"))
-    return EXIT_PASS if all_passed else EXIT_MISMATCH
+    # read from the modules per call, so that wrappers rebound there see it
+    for case, identity, fixtures in (
+        ("euler", hg.verify_euler_identity, EULER_FIXTURES),
+        ("heine", qhg.verify_heine_identity, HEINE_FIXTURES),
+    ):
+        for i, fixture in enumerate(fixtures):
+            report = identity(*(rat(x) for x in fixture), order)
+            for cell in report.cells:
+                entry = {"case": case, "sample": i}
+                entry.update(cell_json(cell))
+                results.append(entry)
+    doc = {"command": args.command, "order": order, "results": results}
+    emit(args, [doc], regression_text)
+    return EXIT_PASS if all_passed(doc) else EXIT_MISMATCH
+
+
+def regression_text(docs):
+    by_case = {}
+    for row in docs[0]["results"]:
+        by_case.setdefault(row["case"], []).append(row)
+    for case, rows in by_case.items():
+        bad = [row for row in rows if not row["pass"]]
+        yield "case %s: %s (%d checks)" % (case, verdict(not bad), len(rows))
+        for row in bad:
+            yield "  FAIL sample %d cell %s" % (row["sample"], row["cell"])
+    yield "overall: %s" % verdict(all_passed(docs[0]))
 
 
 # --------------------------------------------------------------------------
@@ -502,61 +366,45 @@ def build_parser():
             s.add_argument("--q", type=_rational_arg, default=None, help="base")
             s.add_argument("--samples", type=int, default=1)
             s.add_argument("--seed", type=int, default=0)
-        s.add_argument("--order", type=int, default=None)
+        if name in ("verify", "paper-regression"):
+            s.add_argument("--order", type=int, default=None)
         s.add_argument(
             "--format",
             dest="output_format",
             choices=("text", "json"),
             default="text",
         )
-        s.add_argument("--check", action="store_true")
+        if name in MATRIX_NAMES:
+            s.add_argument("--check", action="store_true")
     return parser
 
 
-def config_from_args(parser, args):
+def complete_args(parser, args):
+    """Check the parsed arguments of a parameter command and add what its
+    handler reads besides them: the family module, the base arguments its
+    parameter tuples take before a and b ((q,) for the q family, () for
+    theta), and r, which --a fixes."""
     if args.command == "paper-regression":
-        return RunConfig(
-            command=args.command,
-            qmode=False,
-            r=0,
-            a=(),
-            b=(),
-            q=None,
-            order=args.order,
-            samples=0,
-            seed=0,
-            output_format=args.output_format,
-            check=args.check,
-        )
+        return args
     if args.qhg and args.q is None:
         parser.error("--qhg requires --q")
     if not args.qhg and args.q is not None:
         parser.error("--q requires --qhg")
-    r = len(args.a) if args.a else args.r
-    if args.a and len(args.b) != r - 1:
-        parser.error("--b must list exactly r-1 lower parameters")
+    if args.a:
+        args.r = len(args.a)
+        if len(args.b) != args.r - 1:
+            parser.error("--b must list exactly r-1 lower parameters")
     if args.b and not args.a:
         parser.error("--b requires --a")
     if args.samples < 1:
         parser.error("--samples must be positive")
-    return RunConfig(
-        command=args.command,
-        qmode=args.qhg,
-        r=r,
-        a=args.a,
-        b=args.b,
-        q=args.q,
-        order=args.order,
-        samples=args.samples,
-        seed=args.seed,
-        output_format=args.output_format,
-        check=args.check,
-    )
+    args.family, args.base = (qhg, (args.q,)) if args.qhg else (hg, ())
+    return args
 
 
 COMMANDS = {
     "dual": cmd_dual,
-    "psi": cmd_psi,
+    "psi": cmd_matrix,
     "matrix": cmd_matrix,
     "verify": cmd_verify,
     "paper-regression": cmd_paper_regression,
@@ -565,10 +413,9 @@ COMMANDS = {
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = config_from_args(parser, args)
+    args = complete_args(parser, parser.parse_args(argv))
     try:
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[args.command](args)
     except (DegenerateParameters, DegenerateOperator) as exc:
         print("degenerate parameters: %s" % exc, file=sys.stderr)
         return EXIT_DEGENERATE

@@ -18,7 +18,6 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 __all__ = [
     "Q",
     "rat",
-    "rat_str",
     "is_integer",
     "Polynomial",
     "poly_gcd",
@@ -56,11 +55,6 @@ def rat(x):
     if isinstance(x, (int, str)):
         return Q(x)
     raise TypeError("cannot coerce %r to a rational" % (x,))
-
-
-def rat_str(x):
-    """Canonical string form: \"p\" for integers, \"p/q\" otherwise."""
-    return str(x)
 
 
 def is_integer(x):

@@ -6,6 +6,7 @@ identities including the closed-form r=2 and r=3 matrices.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import lcm
 
@@ -22,18 +23,29 @@ from .exact_algebra import (
 from .skew_operators import (
     THETA,
     CellResult,
-    InsufficientPrecision,
     SkewOperator,
+    SolutionBasis,
     TaggedSeries,
     VerificationReport,
-    check_cells,
+    dual_operator,
     matrix_invert,
     psi_matrix,
+    verify_duality,
 )
+
+# Draws a seeded sampler makes before it gives up on finding generic
+# parameters.
+MAX_DRAWS = 1000
 
 
 class DegenerateParameters(ValueError):
     """Parameter tuple outside the generic range the solution theory needs."""
+
+
+def check_order(r):
+    """The duality theory needs r >= 2 upper and lower parameters."""
+    if r < 2:
+        raise DegenerateParameters("need r >= 2 with r upper and r lower parameters")
 
 
 def pochhammer(x, n):
@@ -70,8 +82,9 @@ class HGParams:
         b = tuple(rat(x) for x in self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        if len(a) != len(b) or len(a) < 2:
-            raise DegenerateParameters("need r >= 2 with r upper and r lower parameters")
+        if len(a) != len(b):
+            raise DegenerateParameters("need as many upper as lower parameters")
+        check_order(len(a))
         if b[-1] != 1:
             raise DegenerateParameters("the last lower parameter must be 1")
         for i in range(len(b)):
@@ -98,6 +111,26 @@ class HGParams:
         )
 
 
+def sample_rationals(rng, n):
+    """n seeded rationals with numerator and denominator in 1..97."""
+    return tuple(Q(rng.randint(1, 97), rng.randint(1, 97)) for _ in range(n))
+
+
+def sample_params(rng, r):
+    """Random generic parameters; integer upper parameters are rejected so
+    the dual parameter list stays inside the validated class."""
+    check_order(r)
+    for _ in range(MAX_DRAWS):
+        a = sample_rationals(rng, r)
+        if any(is_integer(x) for x in a):
+            continue
+        try:
+            return HGParams.make(a, sample_rationals(rng, r - 1))
+        except DegenerateParameters:
+            continue
+    raise DegenerateParameters("no generic parameters in %d draws" % MAX_DRAWS)
+
+
 def hg_operator(p):
     """L = (theta+b_1-1)...(theta+b_r-1) - z (theta+a_1)...(theta+a_r).
 
@@ -113,25 +146,29 @@ def hg_operator(p):
     return SkewOperator(THETA, coeffs)
 
 
-def hg_dual_params(p):
-    return p.dual()
-
-
-def dual_unit(r):
+def dual_unit(p):
     """dual_operator(hg_operator(p)) = unit * hg_operator(p.dual())."""
-    return Q(1) if r % 2 == 0 else Q(-1)
+    return Q(1) if p.r % 2 == 0 else Q(-1)
 
 
-@dataclass(frozen=True)
-class SolutionBasis:
-    entries: tuple
-    which: str
+def argument_rescale(p):
+    """None: the dual solutions live in the variable z itself."""
+    return None
 
 
-def hypergeometric_body(upper, lower, N, argument_scale=None):
+def psi_det(op):
+    """The closed form det Psi = A_r^r."""
+    r = op.order
+    acc = op.coefficient(r)
+    for _ in range(r - 1):
+        acc = acc * op.coefficient(r)
+    return acc
+
+
+def hypergeometric_body(upper, lower, N):
     """Series sum_n c_n z^n with c_0 = 1 and
     c_{n+1}/c_n = prod(u+n) / (prod(l+n) * (n+1)); the (n+1) factor is the
-    implicit factorial. An argument_scale s folds s^n into c_n."""
+    implicit factorial."""
     upper = [rat(u) for u in upper]
     lower = [rat(l) for l in lower]
     for l in lower:
@@ -146,14 +183,6 @@ def hypergeometric_body(upper, lower, N, argument_scale=None):
         for l in lower:
             den *= l + n
         coeffs.append(coeffs[-1] * num / den)
-    if argument_scale is not None:
-        s = rat(argument_scale)
-        power = Q(1)
-        scaled = []
-        for c in coeffs:
-            scaled.append(c * power)
-            power *= s
-        coeffs = scaled
     return TruncatedSeries(coeffs)
 
 
@@ -210,7 +239,9 @@ def anti_diagonal_entry(l):
 
 
 def bilinear_sum(weights, f_powers, g_powers, k, l):
-    """sum_i w_i theta^k(f_i) theta^l(g_i) collapsed to a plain series."""
+    """sum_i w_i X^k(f_i) X^l(g_i) collapsed to a plain series, where
+    f_powers[i][k] = X^k(f_i) for X = theta or Delta: the direct r^3
+    definition that tests compare both families' sum tables with."""
     acc = None
     for w, fp, gp in zip(weights, f_powers, g_powers):
         term = fp[k].pair_product(gp[l]).scale(w)
@@ -263,29 +294,20 @@ def bilinear_sum_table(p, N):
     return [[(table[l][k], d) for l in range(r)] for k in range(r)]
 
 
+def structure_ok(p, k, l, entry):
+    """The closed-form zero pattern of M: zero above the anti-diagonal
+    k + l = r - 1, and (-1)^l / (1-z) on it."""
+    if k + l <= p.r - 2:
+        return entry.is_zero
+    if k + l == p.r - 1:
+        return entry == anti_diagonal_entry(l)
+    return True
+
+
 def verify_theorem1(p, N):
-    """Check, cell by cell, that the bilinear sums of the solution bases
-    reproduce Psi^{-1} exactly through z^N, that the zero pattern and
-    anti-diagonal closed form hold, and that each sum reconstructs to the
-    same rational function.
-
-    The sums come from bilinear_sum_table: the column theta^k(f_i) g_i for
-    k = 0..2r-2 and the Leibniz recurrence, over one common denominator.
-    Each cell is checked as den(M_kl) T_kl - num(M_kl) = 0 through z^N.
-    """
-    r = p.r
-    minimum = 4 * r + 8
-    if N < minimum:
-        raise InsufficientPrecision(N, minimum)
-
-    def structure_ok(k, l, entry):
-        if k + l <= r - 2:
-            return entry.is_zero
-        if k + l == r - 1:
-            return entry == anti_diagonal_entry(l)
-        return True
-
-    return check_cells(duality_matrix(p), bilinear_sum_table(p, N), structure_ok)
+    """Certify the theta-family duality M = Psi^{-1} through z^N with
+    skew_operators.verify_duality."""
+    return verify_duality(sys.modules[__name__], p, N)
 
 
 def closed_form_m_r2(p):
@@ -360,3 +382,14 @@ def verify_euler_identity(a1, a2, b1, N):
         CellResult((0, 1), product_ok),
     )
     return VerificationReport(cells)
+
+
+# The family surface: skew_operators.verify_duality and the command line
+# read these names as module attributes, and q_hypergeometric defines the
+# same ones. Besides the aliases below they are dual_operator (imported),
+# dual_unit, argument_rescale, psi_det, sample_params, solution_basis,
+# duality_matrix, bilinear_sum_table and structure_ok.
+Params = HGParams
+operator = hg_operator
+psi = psi_matrix
+verify = verify_theorem1

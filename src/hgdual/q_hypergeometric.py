@@ -7,6 +7,7 @@ forms.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .exact_algebra import (
@@ -19,17 +20,24 @@ from .exact_algebra import (
     integer_vector,
     rat,
 )
-from .hypergeometric import DegenerateParameters, elementary_symmetric
+from .hypergeometric import (
+    MAX_DRAWS,
+    DegenerateParameters,
+    check_order,
+    elementary_symmetric,
+    sample_rationals,
+)
 from .skew_operators import (
     QSHIFT,
     CellResult,
-    InsufficientPrecision,
     SkewOperator,
+    SolutionBasis,
     TaggedSeries,
     VerificationReport,
-    check_cells,
     matrix_invert,
     psi_q_matrix,
+    q_dual_operator,
+    verify_duality,
 )
 
 
@@ -44,6 +52,12 @@ def q_pochhammer(a, q, n):
         acc *= 1 - a * power
         power *= q
     return acc
+
+
+def check_base(q):
+    """The q family needs a base 0 < q < 1."""
+    if not (0 < q < 1):
+        raise DegenerateParameters("base must satisfy 0 < q < 1")
 
 
 def genericity_check_q(b, q):
@@ -91,10 +105,10 @@ class QHGParams:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        if not (0 < q < 1):
-            raise DegenerateParameters("base must satisfy 0 < q < 1")
-        if len(a) != len(b) or len(a) < 2:
-            raise DegenerateParameters("need r >= 2 with r upper and r lower parameters")
+        check_base(q)
+        if len(a) != len(b):
+            raise DegenerateParameters("need as many upper as lower parameters")
+        check_order(len(a))
         if b[-1] != q:
             raise DegenerateParameters("the last lower parameter must equal q")
         if any(x == 0 for x in a) or any(x == 0 for x in b):
@@ -136,8 +150,17 @@ def argument_rescale(p):
     return num * p.q ** (p.r - 2) / den
 
 
-def qhg_dual_params(p):
-    return p.dual(), argument_rescale(p)
+def sample_params(rng, r, q):
+    """Random generic parameters over the base q."""
+    check_base(q)
+    check_order(r)
+    for _ in range(MAX_DRAWS):
+        a = sample_rationals(rng, r)
+        try:
+            return QHGParams.make(q, a, sample_rationals(rng, r - 1))
+        except DegenerateParameters:
+            continue
+    raise DegenerateParameters("no generic parameters in %d draws" % MAX_DRAWS)
 
 
 def qhg_operator(p):
@@ -170,16 +193,28 @@ def q_dual_unit(p):
     return unit
 
 
+def psi_det(op):
+    """The closed form det Psi_q = (-1)^r Delta^{-1}(A_r) prod_{k<r-1} Delta^k(A_0)."""
+    r, q = op.order, op.q
+    acc = op.coefficient(r).scale_arg(1 / q)
+    if r % 2:
+        acc = -acc
+    power = Q(1)
+    for _ in range(r - 1):
+        acc = acc * op.coefficient(0).scale_arg(power)
+        power *= q
+    return acc
+
+
 def rescale_operator(op, c):
     """Substitute z -> c*z in every coefficient."""
     return SkewOperator(op.mode, [a.scale_arg(c) for a in op.coeffs], op.q)
 
 
-def q_hypergeometric_body(upper, lower, q, N, argument_scale=None):
+def q_hypergeometric_body(upper, lower, q, N):
     """Series sum_n c_n z^n with c_0 = 1 and
     c_{n+1}/c_n = prod(1 - u q^n) / (prod(1 - l q^n) * (1 - q^{n+1})); the
-    final factor is the implicit q-factorial. An argument_scale s folds s^n
-    into c_n."""
+    final factor is the implicit q-factorial."""
     upper = [rat(u) for u in upper]
     lower = [rat(l) for l in lower]
     q = rat(q)
@@ -199,21 +234,7 @@ def q_hypergeometric_body(upper, lower, q, N, argument_scale=None):
             den *= factor
         coeffs.append(coeffs[-1] * num / den)
         qn *= q
-    if argument_scale is not None:
-        s = rat(argument_scale)
-        power = Q(1)
-        scaled = []
-        for c in coeffs:
-            scaled.append(c * power)
-            power *= s
-        coeffs = scaled
     return TruncatedSeries(coeffs)
-
-
-@dataclass(frozen=True)
-class QSolutionBasis:
-    entries: tuple
-    which: str
 
 
 def q_solution_basis(p, N, which="primal"):
@@ -235,9 +256,9 @@ def q_solution_basis(p, N, which="primal"):
             mu = bi / p.q
             upper = [bi / x for x in p.a]
             lower = [p.q * bi / x for j, x in enumerate(p.b) if j != i]
-            body = q_hypergeometric_body(upper, lower, p.q, N, argument_scale=rho)
+            body = q_hypergeometric_body(upper, lower, p.q, N).scale_arg(rho)
         entries.append(TaggedSeries(QSHIFT, mu, body, p.q))
-    return QSolutionBasis(tuple(entries), which)
+    return SolutionBasis(tuple(entries), which)
 
 
 def q_c_constants(p):
@@ -280,14 +301,6 @@ def superdiagonal_entry(p, k):
     return RationalFunction(Polynomial([1]), Polynomial([1, -(p.q**k)]))
 
 
-def q_bilinear_sum(weights, f_powers, g_powers, k, l):
-    acc = None
-    for w, fp, gp in zip(weights, f_powers, g_powers):
-        term = fp[k].pair_product(gp[l]).scale(w)
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def q_bilinear_sum_table(p, N):
     """Every sum S_kl = sum_i w_i Delta^k(f_i) Delta^l(g_i), 0 <= k, l < r,
     through z^N, as integer vectors (v, d).
@@ -298,7 +311,8 @@ def q_bilinear_sum_table(p, N):
     E_e(w) = sum_i w_i mu_i^e phi_i(q^e w) psi_i(w),  e = k-l,
     at w = q^l z. There are 2r-1 of them, and they reweight one set of big
     products phi_in psi_ij per i by the small powers q^(en). The result
-    equals q_bilinear_sum over the advance tables cell for cell.
+    equals hypergeometric.bilinear_sum over the advance tables cell for
+    cell.
     """
     r, q = p.r, p.q
     weights = q_duality_weights(p)
@@ -318,31 +332,22 @@ def q_bilinear_sum_table(p, N):
     ]
 
 
+def structure_ok(p, k, l, entry):
+    """The closed-form zero pattern of M_q: zero on and below the diagonal
+    except the (r-1, 0) corner, 1/(1 - q^k z) on the superdiagonal."""
+    if (k, l) == (p.r - 1, 0):
+        return entry == corner_entry(p)
+    if l <= k:
+        return entry.is_zero
+    if l == k + 1:
+        return entry == superdiagonal_entry(p, k)
+    return True
+
+
 def verify_theorem2(p, N):
-    """Check every cell of the shift-mode bilinear sum against Psi_q^{-1},
-    the on-and-below-diagonal zero pattern (with the (r-1,0) corner), both
-    closed forms, and per-cell rational reconstruction.
-
-    The sums come from q_bilinear_sum_table: the 2r-1 shift sums E_(k-l),
-    each an integer vector over one common denominator and rescaled to its
-    cells. Each cell is checked as den(M_kl) S_kl - num(M_kl) = 0 through
-    z^N.
-    """
-    r = p.r
-    minimum = 4 * r + 8
-    if N < minimum:
-        raise InsufficientPrecision(N, minimum)
-
-    def structure_ok(k, l, entry):
-        if (k, l) == (r - 1, 0):
-            return entry == corner_entry(p)
-        if l <= k:
-            return entry.is_zero
-        if l == k + 1:
-            return entry == superdiagonal_entry(p, k)
-        return True
-
-    return check_cells(q_duality_matrix(p), q_bilinear_sum_table(p, N), structure_ok)
+    """Certify the q-family duality M_q = Psi_q^{-1} through z^N with
+    skew_operators.verify_duality."""
+    return verify_duality(sys.modules[__name__], p, N)
 
 
 def closed_form_mq_r2(p):
@@ -383,3 +388,15 @@ def verify_heine_identity(a1, a2, b1, q, N):
     dual = q_solution_basis(p, N, "dual").entries
     ok = primal[1].body * dual[1].body == primal[0].body * dual[0].body
     return VerificationReport((CellResult((0, 0), ok),))
+
+
+# The family surface under the names hypergeometric gives it (see there).
+Params = QHGParams
+operator = qhg_operator
+dual_operator = q_dual_operator
+dual_unit = q_dual_unit
+psi = psi_q_matrix
+solution_basis = q_solution_basis
+duality_matrix = q_duality_matrix
+bilinear_sum_table = q_bilinear_sum_table
+verify = verify_theorem2

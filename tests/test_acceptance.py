@@ -15,8 +15,6 @@ from hgdual.cli import (
     QSHIFT_R3_FIXTURES,
     THETA_R2_FIXTURES,
     THETA_R3_FIXTURES,
-    sample_qshift_params,
-    sample_theta_params,
 )
 from hgdual.exact_algebra import (
     Polynomial,
@@ -34,23 +32,24 @@ from hgdual.hypergeometric import (
     closed_form_m_r3,
     dual_unit,
     duality_matrix,
-    hg_dual_params,
     hg_operator,
+    sample_params as sample_theta_params,
     solution_basis,
     verify_euler_identity,
     verify_theorem1,
 )
 from hgdual.q_hypergeometric import (
     QHGParams,
+    argument_rescale,
     closed_form_mq_r2,
     closed_form_mq_r3,
     corner_entry,
     q_dual_unit,
     q_duality_matrix,
     q_solution_basis,
-    qhg_dual_params,
     qhg_operator,
     rescale_operator,
+    sample_params as sample_qshift_params,
     superdiagonal_entry,
     verify_heine_identity,
     verify_theorem2,
@@ -201,12 +200,12 @@ def test_06_dual_parameter_maps():
     for r in (2, 3, 4):
         p = sample_theta_params(rng, r)
         star = dual_operator(hg_operator(p))
-        assert star == hg_operator(hg_dual_params(p)).scale(dual_unit(r))
+        assert star == hg_operator(p.dual()).scale(dual_unit(p))
         for g in solution_basis(p, N, "dual").entries:
             assert annihilates(star, g, r)
         pq = sample_qshift_params(rng, r, Q(2, 3))
         star_q = q_dual_operator(qhg_operator(pq))
-        dp, rho = qhg_dual_params(pq)
+        dp, rho = pq.dual(), argument_rescale(pq)
         assert star_q == rescale_operator(qhg_operator(dp), rho).scale(q_dual_unit(pq))
         for g in q_solution_basis(pq, N, "dual").entries:
             assert annihilates(star_q, g, r)

@@ -1,7 +1,7 @@
 """The bilinear sum tables that the verifiers use, against the direct r^3
-definition (bilinear_sum / q_bilinear_sum over the advance tables); the
-integer-vector kernel under them, against the TruncatedSeries operations;
-and the failure reports the verifiers give for a cell that does not match."""
+definition (bilinear_sum over the advance tables); the integer-vector
+kernel under them, against the TruncatedSeries operations; and the failure
+reports the verifiers give for a cell that does not match."""
 
 import random
 
@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import hgdual.hypergeometric as hg
 import hgdual.q_hypergeometric as qhg
-from hgdual.cli import sample_qshift_params, sample_theta_params
+from hgdual.hypergeometric import sample_params as sample_theta_params
+from hgdual.q_hypergeometric import sample_params as sample_qshift_params
 from hgdual.exact_algebra import (
     PoleAtOrigin,
     Polynomial,
@@ -108,7 +109,7 @@ def _direct_q_sums(p, N):
     gp = _advance_table(qhg.q_solution_basis(p, N, "dual").entries, p.r)
     w = qhg.q_duality_weights(p)
     return [
-        [qhg.q_bilinear_sum(w, fp, gp, k, l) for l in range(p.r)] for k in range(p.r)
+        [hg.bilinear_sum(w, fp, gp, k, l) for l in range(p.r)] for k in range(p.r)
     ]
 
 
@@ -174,6 +175,6 @@ def test_qshift_failure_report(monkeypatch, cell):
     r, N = 3, 20
     p = sample_qshift_params(random.Random(12), r, Q(2, 3))
     direct = _direct_q_sums(p, N)
-    seen = _perturb(monkeypatch, qhg, "q_duality_matrix", cell)
+    seen = _perturb(monkeypatch, qhg, "duality_matrix", cell)
     report = qhg.verify_theorem2(p, N)
     _assert_single_failure(report, cell, seen["entry"], direct[cell[0]][cell[1]], r)

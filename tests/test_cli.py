@@ -1,5 +1,6 @@
 """End-to-end command line tests: output contracts, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -85,6 +86,65 @@ class TestExitCodes:
         code, _, err = run(capsys, "verify", "--hg", "-r", "3", "--order", "6")
         assert code == EXIT_PRECISION
         assert "--order 20" in err
+
+    # Sampled parameters that cannot be generic end like the same values
+    # given with --a: exit 3 with the message of the explicit path, instead
+    # of a sampler that rejects and redraws forever.
+    @pytest.mark.parametrize(
+        "sampled, explicit",
+        [
+            (("verify", "--hg", "-r", "1"), ("verify", "--hg", "--a", "1/2")),
+            (("verify", "--hg", "-r", "0"), ("verify", "--hg", "--a", "1/2")),
+            (("verify", "--hg", "-r", "-3"), ("verify", "--hg", "--a", "1/2")),
+            (("dual", "--hg", "-r", "1"), ("dual", "--hg", "--a", "1/2")),
+            (
+                ("verify", "--qhg", "--q", "2"),
+                ("verify", "--qhg", "--q", "2", "--a", "1/3,1/7", "--b", "1/5"),
+            ),
+            (
+                ("verify", "--qhg", "--q", "0"),
+                ("verify", "--qhg", "--q", "0", "--a", "1/3,1/7", "--b", "1/5"),
+            ),
+        ],
+    )
+    def test_sampled_degenerate_parameters(self, capsys, sampled, explicit):
+        code, out, err = run(capsys, *sampled)
+        assert code == EXIT_DEGENERATE
+        assert out == ""
+        assert (code, err) == run(capsys, *explicit)[::2]
+
+    @pytest.mark.parametrize("order", ["-5", "0", "15"])
+    def test_regression_below_certified_order(self, capsys, order):
+        code, out, err = run(capsys, "paper-regression", "--order", order)
+        assert code == EXIT_PRECISION
+        assert out == ""
+        assert "--order 16" in err
+
+    def test_regression_at_certified_order(self, capsys):
+        code, out, _ = run(capsys, "paper-regression", "--order", "16")
+        assert code == EXIT_PASS
+        assert "overall: pass" in out
+
+
+class TestOptionScope:
+    """--order is read only by verify and paper-regression, --check only by
+    psi and matrix; elsewhere they are parse errors."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dual", "--hg", "--order", "20"),
+            ("psi", "--hg", "--order", "20"),
+            ("matrix", "--hg", "--order", "20"),
+            ("dual", "--hg", "--check"),
+            ("verify", "--hg", "--check"),
+            ("paper-regression", "--check"),
+        ],
+    )
+    def test_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
 
 
 class TestVerify:
@@ -201,3 +261,36 @@ class TestPaperRegression:
         for case in cases - {"euler", "heine"}:
             samples = {r["sample"] for r in doc["results"] if r["case"] == case}
             assert len(samples) >= 5
+
+
+# sha256 of stdout, recorded before the theta and q families shared one
+# code path; every report stays byte for byte the same.
+PINNED_STDOUT = [
+    ('dual --hg -r 3 --seed 1 --format text', 'fda49d01fc7fa795e62c8db0c7d7477c3b2b251c0d9388c2d2cf7770bd8d6408'),
+    ('dual --hg -r 3 --seed 1 --format json', '462a6932d0f2f20e4b1ca509d79dbbfee1438b6f541bff3dfcd30ca28439b0f3'),
+    ('psi --hg -r 3 --seed 1 --check --format text', 'ce39b79c6676c2f29dcf25b3e6a5f0dc8f89fdce8635edbb70edf1abb717c836'),
+    ('psi --hg -r 3 --seed 1 --check --format json', 'cba9d00ff4fd45a51c1102bbcdaa0cbbfbd96ba07c18739b429e51f9fec24018'),
+    ('matrix --hg -r 3 --seed 1 --check --format text', '43f1fe6e650013ca15c3d1f092d456c87c3a9327eb2e9e2088a6806f6f4881f1'),
+    ('matrix --hg -r 3 --seed 1 --check --format json', 'a5325732ad6b014fff7ab55de0773114e106724e72f4630aa6858f9ebedf5a74'),
+    ('verify --hg -r 3 --seed 1 --format text', '8448d86457bfde2a56f025cbb7744ba24771e9c06cc297b247662b573ade91b1'),
+    ('verify --hg -r 3 --seed 1 --format json', '50b0634cb1e258a2bd4182641a0cf5abfa5b394e109ec2fe274c7768842dc81f'),
+    ('dual --qhg --q 2/3 -r 3 --seed 1 --format text', 'b690ce97f1319a8d80a11c38a75111dc28674f871bb6c6bc8e7f2c1b3b537630'),
+    ('dual --qhg --q 2/3 -r 3 --seed 1 --format json', '0056131ffdd11dca7bf87578eb4f8f6e1988f505e108de19a43a3b34071adebc'),
+    ('psi --qhg --q 2/3 -r 3 --seed 1 --check --format text', 'ac8c747c6d47af57eb7050bb0e4a1f98186eb32457beda28ed7cf614ca1efe8c'),
+    ('psi --qhg --q 2/3 -r 3 --seed 1 --check --format json', '35b7fbf138eb3902dc1dec794b857daa8d178647c01cba852157b401a3045a7d'),
+    ('matrix --qhg --q 2/3 -r 3 --seed 1 --check --format text', '3b751d5bca20e07a6b07f3d6a1091d5f07c2682ea76ad324856041db1a696319'),
+    ('matrix --qhg --q 2/3 -r 3 --seed 1 --check --format json', '49f73b8d0fdcca3cb04514488b1d5b0c51c4a65b97d2250eab4688e8b6f6d8ad'),
+    ('verify --qhg --q 2/3 -r 3 --seed 1 --format text', '54c2f2887f996be711ad2eb8c55ea15fa36036a8c263613c359eb94a7e01ec22'),
+    ('verify --qhg --q 2/3 -r 3 --seed 1 --format json', '965dccffbc87e02143d7fe6d8a3985bf9dc82e6629eb18f148432e3ce722f2e2'),
+    ('paper-regression --format text', '9eaa8f52e04102b6fa32d7b0ee76d13739295b75b170e7066ac1575504dc9a26'),
+    ('paper-regression --format json', '1b3a7f2df886b739eb11b6a7e54cce0147588e93f5aa3c51986cc37d346d87e6'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_STDOUT, ids=[argv for argv, _ in PINNED_STDOUT]
+)
+def test_pinned_stdout(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

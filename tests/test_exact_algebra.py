@@ -248,6 +248,26 @@ def test_reconstruct_inverts_expansion(f):
     assert rational_reconstruct(a, dn, dd) == f
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    num=poly_strategy(6),
+    den=poly_strategy(6).filter(lambda p: p.coefficient(0) != 0),
+    r=st.integers(0, 4),
+    extra=st.integers(0, 4),
+)
+def test_reconstruct_returns_f_exactly_within_degree_bound(num, den, r, extra):
+    """From the expansion of a reduced f with den(0) != 0 through z^N,
+    N > 2r, reconstruction with degrees (r, r) gives f back exactly when
+    deg num(f) <= r and deg den(f) <= r; skew_operators.check_cells relies
+    on this to use the degree bound in its place."""
+    f = RationalFunction(num, den)
+    try:
+        got = rational_reconstruct(series_of_ratfunc(f, 2 * r + 1 + extra), r, r)
+    except ReconstructionFailed:
+        got = None
+    assert (got == f) == (f.num.degree <= r and f.den.degree <= r)
+
+
 @settings(max_examples=40, deadline=None)
 @given(a=st.lists(rationals, min_size=1, max_size=8))
 def test_series_invert_property(a):

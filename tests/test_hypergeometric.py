@@ -103,7 +103,7 @@ class TestOperator:
     def test_dual_is_unit_times_mapped_operator(self):
         for p in (P22, P33):
             lhs = dual_operator(hg_operator(p))
-            rhs = hg_operator(p.dual()).scale(dual_unit(p.r))
+            rhs = hg_operator(p.dual()).scale(dual_unit(p))
             assert lhs == rhs
 
 

@@ -25,7 +25,6 @@ from hgdual.q_hypergeometric import (
     q_hypergeometric_body,
     q_pochhammer,
     q_solution_basis,
-    qhg_dual_params,
     qhg_operator,
     rescale_operator,
     superdiagonal_entry,
@@ -129,7 +128,7 @@ class TestOperator:
     def test_dual_is_unit_times_rescaled_operator(self):
         for p in (QP2, QP3):
             lhs = q_dual_operator(qhg_operator(p))
-            d, rho = qhg_dual_params(p)
+            d, rho = p.dual(), argument_rescale(p)
             rhs = rescale_operator(qhg_operator(d), rho).scale(q_dual_unit(p))
             assert lhs == rhs
 

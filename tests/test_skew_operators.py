@@ -1,8 +1,14 @@
 """Operator algebra tests: duals, pairing matrices, Wronskians, inversion."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import random
 
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
+
+import hgdual.hypergeometric as hg
+import hgdual.q_hypergeometric as qhg
 from hgdual.exact_algebra import (
     Polynomial,
     Q,
@@ -281,6 +287,46 @@ class TestMatrixInvert:
     def test_multiply_back_2x2(self):
         m = [[rf(1, 1), rf(0, 1)], [rf(1), rf(1, -1)]]
         assert matrix_mul(m, matrix_invert(m)) == matrix_identity(2)
+
+    def test_singular_determinant_is_zero(self):
+        m = [
+            [rf(1, 2), rf(0, 1), rf(3)],
+            [rf(2, 4), rf(0, 2), rf(6)],
+            [rf(1), rf(1), rf(1)],
+        ]
+        assert matrix_det(m).is_zero
+        with pytest.raises(SingularMatrix):
+            matrix_invert(m)
+
+
+_Z = sympy.Symbol("z")
+
+
+def _sympy_matrix(mat):
+    """The same matrix over sympy's field Q(z)."""
+    def expr(poly):
+        return sum(
+            (sympy.Rational(str(c)) * _Z**i for i, c in enumerate(poly.coeffs)),
+            sympy.Integer(0),
+        )
+
+    rows = [[expr(e.num) / expr(e.den) for e in row] for row in mat]
+    return DomainMatrix.from_Matrix(sympy.Matrix(rows)).to_field()
+
+
+@pytest.mark.parametrize("r", range(2, 8))
+@pytest.mark.parametrize(
+    "family, base", [(hg, ()), (qhg, (Q(2, 3),))], ids=["theta", "qshift"]
+)
+def test_psi_inverse_and_determinant_match_sympy(family, base, r):
+    psi = family.psi(family.operator(family.sample_params(random.Random(r), r, *base)))
+    # Psi_q has a zero in its top-left corner, so the elimination swaps rows
+    assert psi[0][0].is_zero == (family is qhg)
+    field = _sympy_matrix(psi)
+    ours, theirs = _sympy_matrix(matrix_invert(psi)).unify(field.inv())
+    assert ours == theirs
+    det = _sympy_matrix([[matrix_det(psi)]]).to_Matrix()[0, 0]
+    assert sympy.cancel(det - field.det().as_expr()) == 0
 
 
 @settings(max_examples=30, deadline=None)
