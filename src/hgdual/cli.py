@@ -20,6 +20,7 @@ from .skew_operators import (
     InsufficientPrecision,
     matrix_det,
     matrix_identity,
+    matrix_invert,
     matrix_mul,
     minimum_order,
 )
@@ -29,6 +30,13 @@ EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_PRECISION = 4
+
+# The largest order and sample count the parameter commands accept, so that
+# every run ends in bounded time. One sample at r = 12 takes about 15 s for
+# verify --hg and 90 s for verify --qhg --q 2/3 (Python 3.11, Fraction
+# backend); verify --hg -r 30 did not end within 20 s.
+MAX_R = 12
+MAX_SAMPLES = 100
 
 
 def resolve_params(args):
@@ -162,7 +170,7 @@ def cmd_matrix(args):
     for p in resolve_params(args):
         op = family.operator(p)
         pairing = family.psi(op)
-        mat = pairing if args.command == "psi" else family.duality_matrix(p)
+        mat = pairing if args.command == "psi" else matrix_invert(pairing)
         doc = {
             "command": args.command,
             "params": params_json(p),
@@ -383,7 +391,8 @@ def complete_args(parser, args):
     """Check the parsed arguments of a parameter command and add what its
     handler reads besides them: the family module, the base arguments its
     parameter tuples take before a and b ((q,) for the q family, () for
-    theta), and r, which --a fixes."""
+    theta), and r, which --a fixes. r, from -r or from the length of --a,
+    is at most MAX_R, and --samples at most MAX_SAMPLES."""
     if args.command == "paper-regression":
         return args
     if args.qhg and args.q is None:
@@ -396,8 +405,12 @@ def complete_args(parser, args):
             parser.error("--b must list exactly r-1 lower parameters")
     if args.b and not args.a:
         parser.error("--b requires --a")
+    if args.r > MAX_R:
+        parser.error("r = %d is above the largest order %d" % (args.r, MAX_R))
     if args.samples < 1:
         parser.error("--samples must be positive")
+    if args.samples > MAX_SAMPLES:
+        parser.error("--samples is at most %d" % MAX_SAMPLES)
     args.family, args.base = (qhg, (args.q,)) if args.qhg else (hg, ())
     return args
 

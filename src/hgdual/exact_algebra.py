@@ -466,8 +466,8 @@ def series_invert(a):
 
 # Integer vectors over one common denominator. A pair (v, d) of a list of
 # ints and a positive int stands for the series sum_n (v[n] / d) z^n. The
-# bilinear sums run in this form: big-integer products and sums with no gcd
-# per operation, and one normalisation at the end.
+# bilinear sums run over integers: big-integer products and sums with no
+# gcd per operation, and one gcd per output coefficient.
 
 
 def integer_vector(s):
@@ -476,43 +476,76 @@ def integer_vector(s):
     return [int(c.numerator) * (d // int(c.denominator)) for c in s.coeffs], d
 
 
+def _graded_lifts(s, length):
+    """For m = 0..length-1, yield (x, L): L is the lcm of the denominators
+    of s.coeffs[0..m], and x[n] = s.coeffs[n] * L for n <= m.
+
+    From m to m+1, x is multiplied by the step factor L(m+1) / L(m) and
+    gains one entry. The step is 1 whenever the new denominator divides L,
+    and the prefix lcms nest by construction even where the reduced
+    denominators of the coefficients do not.
+    """
+    x, prefix = [], 1
+    for c in s.coeffs[:length]:
+        num, den = int(c.numerator), int(c.denominator)
+        step = den // gcd(prefix, den)
+        if step != 1:
+            prefix *= step
+            x = [y * step for y in x]
+        x.append(num * (prefix // den))
+        yield x, prefix
+
+
 def bilinear_combinations(pairs, outputs):
     """Reduced integer vectors (v_j, d_j) of the sums
-    sum_i w_ij (s_ij a_i) * b_i, truncated to the common length.
+    sum_i w_ij (s_ij a_i) * b_i, truncated to the common order.
 
-    pairs[i] = ((a_i, da_i), (b_i, db_i)) holds two integer vectors, and
+    pairs[i] = (a_i, b_i) holds two TruncatedSeries, and
     outputs[j][i] = (w_ij, (s_ij, sd_ij)) a rational weight and an integer
     scale: coefficient n of a_i is multiplied by s_ij[n] / sd_ij.
 
-    Each big product a_i[n] b_i[m-n] is formed once and serves every output,
-    so an output costs only big-by-small multiplications. Each output sums
-    over one denominator, fixed in advance, and is normalised once at the
-    end.
+    Coefficient m of a product needs its factors only through z^m, so it
+    is formed over graded denominators. Each series is lifted over L(m),
+    the lcm of the denominators of its coefficients 0..m, not over the lcm
+    of the whole series, and the lifted vector is carried from m to m+1 by
+    the step factor L(m+1) / L(m), which is mostly 1 or small. In q-series
+    the height of coefficient n grows like n^2, so the low coefficients
+    stay far below the height of the last one.
+
+    At each m the pairs meet over D_m = lcm_i(La_i(m) Lb_i(m)), with one
+    division per pair. Each big product a_i[n] b_i[m-n] is formed once and
+    serves every output. The weight and scale denominators stay out of D_m,
+    in one constant E_j per output. Output coefficient m is reduced by one
+    gcd against its own denominator E_j D_m, and the reduced coefficients
+    of an output are put over their lcm at the end.
     """
-    dens = [
-        [
-            int(w.denominator) * sd * da * db
-            for (w, (_, sd)), ((_, da), (_, db)) in zip(row, pairs)
-        ]
-        for row in outputs
-    ]
-    lcms = [lcm(*row) for row in dens]
+    dens = [[int(w.denominator) * sd for w, (_, sd) in row] for row in outputs]
+    consts = [lcm(*row) for row in dens]
     factors = [
-        [int(w.numerator) * (d // td) for (w, _), td in zip(row, drow)]
-        for row, drow, d in zip(outputs, dens, lcms)
+        [int(w.numerator) * (e // td) for (w, _), td in zip(row, drow)]
+        for row, drow, e in zip(outputs, dens, consts)
     ]
     scales = [[s for _, (s, _) in row] for row in outputs]
-    length = len(pairs[0][0][0])
-    acc = [[0] * length for _ in outputs]
-    for m in range(length):
-        for i, ((a, _), (b, _)) in enumerate(pairs):
-            terms = list(map(mul, a[: m + 1], b[m::-1]))
-            for out, srow, frow in zip(acc, scales, factors):
-                out[m] += frow[i] * sum(map(mul, terms, srow[i]))
+    length = min(len(s.coeffs) for pair in pairs for s in pair)
+    lifts = [zip(_graded_lifts(a, length), _graded_lifts(b, length)) for a, b in pairs]
+    coeffs = [[] for _ in outputs]
+    for state in zip(*lifts):
+        pair_dens = [la * lb for (_, la), (_, lb) in state]
+        d_m = lcm(*pair_dens)
+        sums = [0] * len(outputs)
+        for i, (((a, _), (b, _)), pd) in enumerate(zip(state, pair_dens)):
+            terms = list(map(mul, a, reversed(b)))
+            c = d_m // pd
+            for j, (srow, frow) in enumerate(zip(scales, factors)):
+                sums[j] += frow[i] * c * sum(map(mul, terms, srow[i]))
+        for out, acc, e in zip(coeffs, sums, consts):
+            den = e * d_m
+            g = gcd(acc, den)
+            out.append((acc // g, den // g))
     result = []
-    for v, d in zip(acc, lcms):
-        g = gcd(d, *v)
-        result.append(([x // g for x in v], d // g))
+    for out in coeffs:
+        d = lcm(*(e for _, e in out))
+        result.append(([x * (d // e) for x, e in out], d))
     return result
 
 

@@ -16,7 +16,6 @@ from .exact_algebra import (
     RationalFunction,
     TruncatedSeries,
     bilinear_combinations,
-    integer_vector,
     is_integer,
     rat,
 )
@@ -265,9 +264,7 @@ def bilinear_sum_table(p, N):
     weights = duality_weights(p)
     primal = solution_basis(p, N, "primal").entries
     dual = solution_basis(p, N, "dual").entries
-    pairs = [
-        (integer_vector(f.body), integer_vector(g.body)) for f, g in zip(primal, dual)
-    ]
+    pairs = [(f.body, g.body) for f, g in zip(primal, dual)]
     # (c_i + n)^k = scales[i][k][n] / t_i^k with c_i = s_i / t_i
     scales = []
     for f in primal:

@@ -17,7 +17,6 @@ from .exact_algebra import (
     TruncatedSeries,
     bilinear_combinations,
     integer_scale_arg,
-    integer_vector,
     rat,
 )
 from .hypergeometric import (
@@ -318,9 +317,7 @@ def q_bilinear_sum_table(p, N):
     weights = q_duality_weights(p)
     primal = q_solution_basis(p, N, "primal").entries
     dual = q_solution_basis(p, N, "dual").entries
-    pairs = [
-        (integer_vector(f.body), integer_vector(g.body)) for f, g in zip(primal, dual)
-    ]
+    pairs = [(f.body, g.body) for f, g in zip(primal, dual)]
     shifts = range(1 - r, r)
     outputs = []
     for e in shifts:

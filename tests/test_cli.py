@@ -10,6 +10,8 @@ from hgdual.cli import (
     EXIT_MISMATCH,
     EXIT_PASS,
     EXIT_PRECISION,
+    build_parser,
+    complete_args,
     main,
 )
 from hgdual.exact_algebra import Polynomial, Q, RationalFunction, rat
@@ -74,6 +76,36 @@ class TestParseErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    # r and --samples are bounded so that every run ends in bounded time;
+    # the bound is checked before any parameter is drawn or built
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--hg", "-r", "13"),
+            ("dual", "--qhg", "--q", "1/2", "-r", "13"),
+            ("verify", "--hg", "--samples", "101"),
+            ("matrix", "--qhg", "--q", "2/3", "--samples", "101"),
+            (
+                "verify", "--hg",
+                "--a", ",".join("1/%d" % (2 * n + 3) for n in range(13)),
+                "--b", ",".join("%d/7" % (n + 1) for n in range(12)),
+            ),
+        ],
+        ids=["r=13", "qhg-r=13", "samples=101", "qhg-samples=101", "a-of-13"],
+    )
+    def test_above_the_bounds(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "largest order 12" in err or "at most 100" in err
+
+    def test_at_the_bounds(self):
+        parser = build_parser()
+        argv = ["verify", "--hg", "-r", "12", "--samples", "100"]
+        args = complete_args(parser, parser.parse_args(argv))
+        assert (args.r, args.samples) == (12, 100)
 
 
 class TestExitCodes:
