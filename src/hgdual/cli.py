@@ -31,12 +31,15 @@ EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_PRECISION = 4
 
-# The largest order and sample count the parameter commands accept, so that
-# every run ends in bounded time. One sample at r = 12 takes about 15 s for
-# verify --hg and 90 s for verify --qhg --q 2/3 (Python 3.11, Fraction
-# backend); verify --hg -r 30 did not end within 20 s.
+# The largest r, sample count and truncation order the commands accept,
+# so that every run ends in bounded time. One sample at r = 12 takes about
+# 15 s for verify --hg and 90 s for verify --qhg --q 2/3 (Python 3.11,
+# Fraction backend); verify --hg -r 30 did not end within 20 s. MAX_ORDER is
+# the default truncation at r = MAX_R; verify --qhg --q 2/3 -r 2 took 110 s
+# at order 250.
 MAX_R = 12
 MAX_SAMPLES = 100
+MAX_ORDER = minimum_order(MAX_R)
 
 
 def resolve_params(args):
@@ -330,10 +333,14 @@ def regression_text(docs):
 
 
 def _rational_arg(text):
-    try:
-        return rat(text)
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise argparse.ArgumentTypeError("not a rational literal: %r" % text)
+    """A rational literal p/q or a decimal. Exponent notation is refused, so
+    that the height of a literal is bounded by its length."""
+    if "e" not in text.lower():
+        try:
+            return rat(text)
+        except (ValueError, ZeroDivisionError, TypeError):
+            pass
+    raise argparse.ArgumentTypeError("not a rational literal: %r" % text)
 
 
 def _rational_list_arg(text):
@@ -392,7 +399,10 @@ def complete_args(parser, args):
     handler reads besides them: the family module, the base arguments its
     parameter tuples take before a and b ((q,) for the q family, () for
     theta), and r, which --a fixes. r, from -r or from the length of --a,
-    is at most MAX_R, and --samples at most MAX_SAMPLES."""
+    is at most MAX_R, --samples at most MAX_SAMPLES, and --order, where a
+    command takes it, at most MAX_ORDER."""
+    if getattr(args, "order", None) is not None and args.order > MAX_ORDER:
+        parser.error("--order is at most %d" % MAX_ORDER)
     if args.command == "paper-regression":
         return args
     if args.qhg and args.q is None:
@@ -427,6 +437,11 @@ COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     args = complete_args(parser, parser.parse_args(argv))
+    # The reports print numbers whose height grows with the literals' length
+    # and with r; the interpreter's digit limit on str(int) would end them
+    # with a traceback. It is lifted for the command only.
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return COMMANDS[args.command](args)
     except (DegenerateParameters, DegenerateOperator) as exc:
@@ -439,6 +454,8 @@ def main(argv=None):
             file=sys.stderr,
         )
         return EXIT_PRECISION
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

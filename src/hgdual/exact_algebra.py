@@ -85,10 +85,6 @@ class Polynomial:
         return Polynomial((1,))
 
     @staticmethod
-    def constant(c):
-        return Polynomial((c,))
-
-    @staticmethod
     def z():
         return Polynomial((0, 1))
 
@@ -266,16 +262,9 @@ class RationalFunction:
     def constant(c):
         return RationalFunction(Polynomial((rat(c),)))
 
-    @staticmethod
-    def z():
-        return RationalFunction(Polynomial.z())
-
     @property
     def is_zero(self):
         return self.num.is_zero
-
-    def is_constant(self):
-        return self.num.degree <= 0 and self.den.degree == 0
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
@@ -379,11 +368,6 @@ class TruncatedSeries:
 
     def __hash__(self):
         return hash((self.order, self.coeffs))
-
-    def truncate(self, order):
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1])
 
     def __add__(self, other):
         n = min(self.order, other.order)

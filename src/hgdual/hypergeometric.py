@@ -115,19 +115,27 @@ def sample_rationals(rng, n):
     return tuple(Q(rng.randint(1, 97), rng.randint(1, 97)) for _ in range(n))
 
 
-def sample_params(rng, r):
-    """Random generic parameters; integer upper parameters are rejected so
-    the dual parameter list stays inside the validated class."""
+def draw_params(rng, r, make, admissible):
+    """Seeded rejection sampling for both families: draw r upper parameters
+    a until admissible(a), then r-1 lower ones b_head, and return
+    make(a, b_head); redraw when it raises DegenerateParameters, at most
+    MAX_DRAWS times."""
     check_order(r)
     for _ in range(MAX_DRAWS):
         a = sample_rationals(rng, r)
-        if any(is_integer(x) for x in a):
+        if not admissible(a):
             continue
         try:
-            return HGParams.make(a, sample_rationals(rng, r - 1))
+            return make(a, sample_rationals(rng, r - 1))
         except DegenerateParameters:
             continue
     raise DegenerateParameters("no generic parameters in %d draws" % MAX_DRAWS)
+
+
+def sample_params(rng, r):
+    """Random generic parameters; integer upper parameters are rejected so
+    the dual parameter list stays inside the validated class."""
+    return draw_params(rng, r, HGParams.make, lambda a: not any(map(is_integer, a)))
 
 
 def hg_operator(p):
@@ -203,7 +211,7 @@ def solution_basis(p, N, which="primal"):
             lower = [bi + 1 - x for j, x in enumerate(p.b) if j != i]
         body = hypergeometric_body(upper, lower, N)
         entries.append(TaggedSeries(THETA, offset, body))
-    return SolutionBasis(tuple(entries), which)
+    return SolutionBasis(tuple(entries))
 
 
 def c_constants(p):

@@ -20,11 +20,10 @@ from .exact_algebra import (
     rat,
 )
 from .hypergeometric import (
-    MAX_DRAWS,
     DegenerateParameters,
     check_order,
+    draw_params,
     elementary_symmetric,
-    sample_rationals,
 )
 from .skew_operators import (
     QSHIFT,
@@ -152,14 +151,7 @@ def argument_rescale(p):
 def sample_params(rng, r, q):
     """Random generic parameters over the base q."""
     check_base(q)
-    check_order(r)
-    for _ in range(MAX_DRAWS):
-        a = sample_rationals(rng, r)
-        try:
-            return QHGParams.make(q, a, sample_rationals(rng, r - 1))
-        except DegenerateParameters:
-            continue
-    raise DegenerateParameters("no generic parameters in %d draws" % MAX_DRAWS)
+    return draw_params(rng, r, lambda a, b: QHGParams.make(q, a, b), lambda a: True)
 
 
 def qhg_operator(p):
@@ -257,7 +249,7 @@ def q_solution_basis(p, N, which="primal"):
             lower = [p.q * bi / x for j, x in enumerate(p.b) if j != i]
             body = q_hypergeometric_body(upper, lower, p.q, N).scale_arg(rho)
         entries.append(TaggedSeries(QSHIFT, mu, body, p.q))
-    return SolutionBasis(tuple(entries), which)
+    return SolutionBasis(tuple(entries))
 
 
 def q_c_constants(p):

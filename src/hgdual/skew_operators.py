@@ -54,6 +54,18 @@ class InsufficientPrecision(ValueError):
         self.minimum = minimum
 
 
+def _checked_base(mode, q):
+    """Check a mode and its base: QShift mode needs the base q, Theta mode
+    takes none. Returns q coerced to the scalar type, or None."""
+    if mode not in (THETA, QSHIFT):
+        raise ValueError("unknown mode %r" % (mode,))
+    if mode == QSHIFT and q is None:
+        raise ValueError("QShift mode requires the base q")
+    if mode == THETA and q is not None:
+        raise ValueError("Theta mode takes no base")
+    return None if q is None else rat(q)
+
+
 class SkewOperator:
     """L = A_r X^r + ... + A_1 X + A_0 with X = theta or X = Delta.
 
@@ -65,23 +77,15 @@ class SkewOperator:
     __slots__ = ("mode", "coeffs", "q")
 
     def __init__(self, mode, coeffs, q=None):
-        if mode not in (THETA, QSHIFT):
-            raise ValueError("unknown operator mode %r" % (mode,))
+        q = _checked_base(mode, q)
         cs = [c if isinstance(c, RationalFunction) else RationalFunction.constant(c)
               for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
         if not cs:
             raise DegenerateOperator("zero operator")
-        if mode == QSHIFT:
-            if q is None:
-                raise ValueError("QShift mode requires the base q")
-            q = rat(q)
-            if not (0 < q < 1):
-                raise DegenerateOperator("base q must satisfy 0 < q < 1")
-        else:
-            if q is not None:
-                raise ValueError("Theta mode takes no base")
+        if q is not None and not (0 < q < 1):
+            raise DegenerateOperator("base q must satisfy 0 < q < 1")
         self.mode = mode
         self.coeffs = tuple(cs)
         self.q = q
@@ -141,18 +145,10 @@ class TaggedSeries:
     __slots__ = ("mode", "offset", "body", "q")
 
     def __init__(self, mode, offset, body, q=None):
-        if mode not in (THETA, QSHIFT):
-            raise ValueError("unknown series mode %r" % (mode,))
-        if mode == QSHIFT:
-            if q is None:
-                raise ValueError("QShift mode requires the base q")
-            q = rat(q)
-        elif q is not None:
-            raise ValueError("Theta mode takes no base")
+        self.q = _checked_base(mode, q)
         self.mode = mode
         self.offset = rat(offset)
         self.body = body
-        self.q = q
 
     def __eq__(self, other):
         if not isinstance(other, TaggedSeries):
@@ -187,12 +183,6 @@ class TaggedSeries:
             body = self.body.scale_arg(self.q).scale(self.offset)
         return TaggedSeries(self.mode, self.offset, body, self.q)
 
-    def advance_power(self, k):
-        s = self
-        for _ in range(k):
-            s = s.advance()
-        return s
-
     def cancels_with(self, other):
         if self.mode != other.mode or self.q != other.q:
             return False
@@ -215,7 +205,6 @@ class SolutionBasis:
     series."""
 
     entries: tuple
-    which: str
 
 
 def dual_operator(op):
@@ -307,7 +296,11 @@ def psi_q_matrix(op):
     return mat
 
 
-def _pairing(mat, g, f, r):
+def _pairing(mat, g, f):
+    """Sum_{i,j} mat_ij X^i(g) X^j(f) for the mode's operator symbol X."""
+    if not g.cancels_with(f):
+        raise OffsetMismatch("pairing requires cancelling prefactors")
+    r = len(mat)
     n = min(g.body.order, f.body.order)
     gs, fs = [g], [f]
     for _ in range(r - 1):
@@ -326,16 +319,12 @@ def _pairing(mat, g, f, r):
 def omega_pairing(op, g, f):
     """Sum_{i,j} Psi_{ij} theta^i(g) theta^j(f) as a plain series; constant
     through the guard order when g, f solve the dual and primal equations."""
-    if not g.cancels_with(f):
-        raise OffsetMismatch("pairing requires cancelling prefactors")
-    return _pairing(psi_matrix(op), g, f, op.order)
+    return _pairing(psi_matrix(op), g, f)
 
 
 def omega_q_pairing(op, g, f):
     """Shift-mode pairing (g, Delta g, ...) Psi_q (f, Delta f, ...)^t."""
-    if not g.cancels_with(f):
-        raise OffsetMismatch("pairing requires cancelling prefactors")
-    return _pairing(psi_q_matrix(op), g, f, op.order)
+    return _pairing(psi_q_matrix(op), g, f)
 
 
 def annihilates(op, s, guard):

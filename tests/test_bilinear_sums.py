@@ -164,8 +164,15 @@ class TestIntegerMatchesRatfunc:
             integer_matches_ratfunc([1, 0, 0], 1, RationalFunction(1, Polynomial([0, 1])))
 
 
-def _advance_table(entries, r):
-    return [[s.advance_power(k) for k in range(r)] for s in entries]
+def _advance_table(entries, count):
+    """The powers X^0(s)..X^(count-1)(s) of each entry s."""
+    table = []
+    for s in entries:
+        powers = [s]
+        for _ in range(count - 1):
+            powers.append(powers[-1].advance())
+        table.append(powers)
+    return table
 
 
 def _direct_theta_sums(p, N):

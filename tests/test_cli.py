@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -10,6 +11,7 @@ from hgdual.cli import (
     EXIT_MISMATCH,
     EXIT_PASS,
     EXIT_PRECISION,
+    MAX_ORDER,
     build_parser,
     complete_args,
     main,
@@ -103,9 +105,72 @@ class TestParseErrors:
 
     def test_at_the_bounds(self):
         parser = build_parser()
-        argv = ["verify", "--hg", "-r", "12", "--samples", "100"]
+        argv = ["verify", "--hg", "-r", "12", "--samples", "100", "--order", "56"]
         args = complete_args(parser, parser.parse_args(argv))
-        assert (args.r, args.samples) == (12, 100)
+        assert (args.r, args.samples, args.order) == (12, 100, 56)
+        argv = ["paper-regression", "--order", "56"]
+        assert complete_args(parser, parser.parse_args(argv)).order == 56
+
+    # --order is bounded by the default order at the largest r, minimum_order(12)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--hg", "--order", "57"),
+            ("verify", "--qhg", "--q", "2/3", "-r", "2", "--order", "250"),
+            ("paper-regression", "--order", "57"),
+        ],
+        ids=["verify", "qhg-verify", "paper-regression"],
+    )
+    def test_order_above_the_bound(self, capsys, argv):
+        assert MAX_ORDER == 56
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "--order is at most 56" in capsys.readouterr().err
+
+    # exponent notation would let a short literal stand for a tall number
+    @pytest.mark.parametrize("literal", ["1e5000", "1E3", "2.5e-1"])
+    def test_exponent_notation_rejected(self, capsys, literal):
+        with pytest.raises(SystemExit) as exc:
+            main(["dual", "--hg", "--a", literal + ",1/3", "--b", "1/5"])
+        assert exc.value.code == 2
+        assert "not a rational literal" in capsys.readouterr().err
+
+
+# The reports of a 3000-digit literal print numbers above the interpreter's
+# 4300-digit limit on str(int)
+TALL = "7" * 3000 + "/11"
+
+
+class TestTallLiterals:
+    def test_matrix(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "matrix", "--hg", "--a", TALL + ",1/3,1/7", "--b", "1/5,5/3", "--check",
+        )
+        assert code == EXIT_PASS
+        assert "check inverse: pass" in out
+        assert max(len(word) for word in out.split()) > 4300
+
+    def test_verify(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--hg", "--a", TALL + ",1/3,1/7", "--b", "1/5,5/3"
+        )
+        assert code == EXIT_PASS
+        assert "overall: pass" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dual", "--hg", "--a", TALL + ",1/3", "--b", "1/5"),
+            ("dual", "--hg", "--a", "1/2,1/3", "--b", "2"),
+        ],
+        ids=["pass", "degenerate"],
+    )
+    def test_digit_limit_restored(self, capsys, argv):
+        limit = sys.get_int_max_str_digits()
+        run(capsys, *argv)
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestExitCodes:

@@ -29,6 +29,8 @@ from hgdual.skew_operators import (
     matrix_identity,
     matrix_invert,
     matrix_mul,
+    omega_pairing,
+    omega_q_pairing,
     psi_matrix,
     psi_q_matrix,
     q_dual_operator,
@@ -42,6 +44,37 @@ def rf(*coeffs):
 
 def plain(coeffs, mode=THETA, q=None):
     return TaggedSeries(mode, 0 if mode == THETA else 1, TruncatedSeries(coeffs), q)
+
+
+# SkewOperator and TaggedSeries check their mode and base the same way
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda mode, q: SkewOperator(mode, [rf(1), rf(1)], q),
+        lambda mode, q: TaggedSeries(mode, 1, TruncatedSeries([1, 0]), q),
+    ],
+    ids=["operator", "series"],
+)
+@pytest.mark.parametrize(
+    "mode, q, message",
+    [
+        ("sideways", None, "unknown mode"),
+        (QSHIFT, None, "requires the base"),
+        (THETA, Q(1, 2), "takes no base"),
+    ],
+    ids=["unknown-mode", "qshift-without-base", "theta-with-base"],
+)
+def test_mode_and_base_checked(build, mode, q, message):
+    with pytest.raises(ValueError, match=message):
+        build(mode, q)
+
+
+@pytest.mark.parametrize("q", [Q(1), Q(0), Q(3, 2)], ids=["q=1", "q=0", "q=3/2"])
+def test_operator_base_outside_unit_interval(q):
+    with pytest.raises(DegenerateOperator):
+        SkewOperator(QSHIFT, [rf(1), rf(1)], q)
+    # a tagged series carries any base; only the operator needs 0 < q < 1
+    assert TaggedSeries(QSHIFT, 1, TruncatedSeries([1, 0]), q).q == q
 
 
 class TestApplyTheta:
@@ -232,18 +265,20 @@ class TestPsiQMatrix:
 
 
 class TestPairings:
-    def test_offset_mismatch_rejected(self):
-        from hgdual.skew_operators import omega_pairing
-
-        op = SkewOperator(THETA, [rf(1), rf(1), rf(1)])
-        g = TaggedSeries(THETA, Q(1, 3), TruncatedSeries([1, 0]))
-        f = TaggedSeries(THETA, Q(1, 2), TruncatedSeries([1, 0]))
+    # offsets 1/3 and 1/2 neither sum to 0 (theta) nor multiply to 1 (q)
+    @pytest.mark.parametrize(
+        "mode, q, pairing",
+        [(THETA, None, omega_pairing), (QSHIFT, Q(1, 2), omega_q_pairing)],
+        ids=["theta", "qshift"],
+    )
+    def test_offset_mismatch_rejected(self, mode, q, pairing):
+        op = SkewOperator(mode, [rf(1), rf(1), rf(1)], q)
+        g = TaggedSeries(mode, Q(1, 3), TruncatedSeries([1, 0]), q)
+        f = TaggedSeries(mode, Q(1, 2), TruncatedSeries([1, 0]), q)
         with pytest.raises(OffsetMismatch):
-            omega_pairing(op, g, f)
+            pairing(op, g, f)
 
     def test_zero_inputs_pair_to_zero(self):
-        from hgdual.skew_operators import omega_pairing
-
         op = SkewOperator(THETA, [rf(1), rf(1), rf(1)])
         g = TaggedSeries(THETA, Q(1, 3), TruncatedSeries.zero(5))
         f = TaggedSeries(THETA, Q(-1, 3), TruncatedSeries.zero(5))
