@@ -8,6 +8,7 @@ parameters, 4 insufficient truncation order.
 import argparse
 import json
 import random
+import re
 import sys
 from dataclasses import fields
 
@@ -40,6 +41,11 @@ EXIT_PRECISION = 4
 MAX_R = 12
 MAX_SAMPLES = 100
 MAX_ORDER = minimum_order(MAX_R)
+# The most digits a numerator, denominator or decimal part of a literal may
+# have: the interpreter's default limit on int(str), which the Fraction
+# backend meets while parsing and gmpy2's mpq does not. It is checked before
+# parsing, so that both backends accept the same literals.
+MAX_LITERAL_DIGITS = 4300
 
 
 def resolve_params(args):
@@ -334,7 +340,14 @@ def regression_text(docs):
 
 def _rational_arg(text):
     """A rational literal p/q or a decimal. Exponent notation is refused, so
-    that the height of a literal is bounded by its length."""
+    that the height of a literal is bounded by its length, and so is a part
+    with more than MAX_LITERAL_DIGITS digits."""
+    parts = re.split(r"[/.]", text)
+    if max(len(re.sub(r"\D", "", part)) for part in parts) > MAX_LITERAL_DIGITS:
+        raise argparse.ArgumentTypeError(
+            "more than %d digits in one part of the literal %r..."
+            % (MAX_LITERAL_DIGITS, text[:20])
+        )
     if "e" not in text.lower():
         try:
             return rat(text)
@@ -370,13 +383,15 @@ def build_parser():
                 "--a",
                 type=_rational_list_arg,
                 default=(),
-                help="comma-separated upper parameters",
+                help="comma-separated upper parameters; write a negative "
+                "first entry as --a=-1/2,1/3",
             )
             s.add_argument(
                 "--b",
                 type=_rational_list_arg,
                 default=(),
-                help="comma-separated lower parameters (last one is implied)",
+                help="comma-separated lower parameters (last one is implied); "
+                "write a negative first entry as --b=-1/5",
             )
             s.add_argument("--q", type=_rational_arg, default=None, help="base")
             s.add_argument("--samples", type=int, default=1)

@@ -383,22 +383,17 @@ def _cleared(mat):
     return [[e.num * den.divexact(e.den) for e in row] for row in mat], den
 
 
-def _fraction_free_eliminate(rows, jordan):
-    """Fraction-free (Bareiss) elimination on an n x m polynomial matrix
-    [A | B], m >= n.
+def matrix_det(mat):
+    """Exact determinant of a square RationalFunction matrix.
 
-    Each pivot step clears its column below the pivot, and with jordan
-    (Gauss-Jordan) above it too, and divides by the previous pivot; every
-    entry stays a minor of the input, so the divisions are exact. Returns
-    (d, sign, out) with d = sign * det A, sign = (-1)^(row swaps); d is
-    zero and out None when A is singular. With jordan the pass ends at
-    [d I | T B] with T A = d I, so for B = I the right block is
-    sign * adj(A). Only the columns past each pivot are updated: the ones
-    up to it are never read again, so out holds T B in columns n.. but not
-    d I. A determinant needs no clearing above the pivots.
+    Fraction-free (Bareiss) elimination of C = den * mat below the pivots:
+    each step divides by the previous pivot, and every entry stays a minor
+    of C, so the divisions are exact and the last pivot is det C up to the
+    sign of the row swaps. Only the columns past each pivot are updated:
+    the ones up to it are never read again.
     """
-    n = len(rows)
-    m = [list(row) for row in rows]
+    m, den = _cleared(mat)
+    n = len(m)
     sign = 1
     prev = Polynomial.one()
     for k in range(n):
@@ -409,47 +404,85 @@ def _fraction_free_eliminate(rows, jordan):
                     sign = -sign
                     break
             else:
-                return Polynomial.zero(), sign, None
+                return _RF_ZERO
         pivot, pivot_row = m[k][k], m[k]
-        for i in range(n) if jordan else range(k + 1, n):
-            if i == k:
-                continue
-            row = m[i]
+        for row in m[k + 1 :]:
             factor = row[k]
             row[k + 1 :] = [
                 (pivot * x - factor * y).divexact(prev)
                 for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
             ]
         prev = pivot
-    return prev, sign, m
-
-
-def matrix_det(mat):
-    """Exact determinant of a square RationalFunction matrix."""
-    cleared, den = _cleared(mat)
-    d, sign, _ = _fraction_free_eliminate(cleared, jordan=False)
     full_den = Polynomial.one()
-    for _ in range(len(mat)):
+    for _ in range(n):
         full_den = full_den * den
-    return RationalFunction(d if sign == 1 else -d, full_den)
+    return RationalFunction(prev if sign == 1 else -prev, full_den)
+
+
+def _triangular_order(mat):
+    """Row and column orders (rows, cols) under which a square matrix is
+    upper triangular: mat[rows[i]][cols[j]] is zero for i > j and nonzero
+    for i = j. None if it has no such order.
+
+    Peels off, from the bottom up, a row with exactly one nonzero entry
+    among the columns not yet taken; that entry is its pivot. Deleting a
+    row and its pivot column from a triangular matrix leaves a triangular
+    matrix, so this finds an order whenever there is one.
+    """
+    left, live = list(range(len(mat))), list(range(len(mat)))
+    rows, cols = [], []
+    while left:
+        for i in left:
+            nonzero = [j for j in live if not mat[i][j].is_zero]
+            if len(nonzero) == 1:
+                break
+        else:
+            return None
+        left.remove(i)
+        live.remove(nonzero[0])
+        rows.append(i)
+        cols.append(nonzero[0])
+    return rows[::-1], cols[::-1]
 
 
 def matrix_invert(mat):
-    """Exact inverse of a square RationalFunction matrix: one fraction-free
-    Gauss-Jordan pass takes [C | I] to [d I | T] with T C = d I, where
-    C = den * mat, so mat^{-1} = den T / d."""
-    n = len(mat)
+    """Exact inverse of a square RationalFunction matrix that is upper
+    triangular up to row and column order (_triangular_order), as the
+    pairing matrices of both families are. Raises SingularMatrix for a zero
+    determinant and ValueError for any other matrix without such an order.
+
+    In that order, C = den * mat (_cleared) has pivots d_m = C_mm, and
+    C^{-1} has the entries Y_ij / prod_{m=i..j} d_m with Y_jj = 1 and
+    Y_ij = -sum_{k=i+1..j} C_ik Y_kj prod_{m=i+1..k-1} d_m for i < j. The
+    Y_ij take polynomial products and sums only, and each entry of
+    mat^{-1} = den C^{-1} is normalised once: a gcd over every
+    intermediate rational function would run on swollen coefficients.
+    """
+    order = _triangular_order(mat)
+    if order is None:
+        if matrix_det(mat).is_zero:
+            raise SingularMatrix("matrix has zero determinant")
+        raise ValueError("matrix is not triangular up to row and column order")
+    rows, cols = order
     cleared, den = _cleared(mat)
-    identity = [
-        [Polynomial.one() if i == j else Polynomial.zero() for j in range(n)]
-        for i in range(n)
-    ]
-    d, _, out = _fraction_free_eliminate(
-        [row + unit for row, unit in zip(cleared, identity)], jordan=True
-    )
-    if d.is_zero:
-        raise SingularMatrix("matrix has zero determinant")
-    return [[RationalFunction(den * x, d) for x in row[n:]] for row in out]
+    c = [[cleared[i][j] for j in cols] for i in rows]
+    n = len(mat)
+    out = [[_RF_ZERO] * n for _ in range(n)]
+    for j in range(n):
+        y = {j: Polynomial.one()}
+        pivots = c[j][j]
+        out[cols[j]][rows[j]] = RationalFunction(den, pivots)
+        for i in range(j - 1, -1, -1):
+            # Horner in the pivots: term k picks up d_(i+1) ... d_(k-1)
+            acc = Polynomial.zero()
+            for k in range(j, i, -1):
+                acc = acc * c[k][k]
+                if not c[i][k].is_zero:
+                    acc = acc + c[i][k] * y[k]
+            y[i] = -acc
+            pivots = c[i][i] * pivots
+            out[cols[i]][rows[j]] = RationalFunction(den * y[i], pivots)
+    return out
 
 
 def matrix_mul(a, b):

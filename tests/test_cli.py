@@ -11,6 +11,7 @@ from hgdual.cli import (
     EXIT_MISMATCH,
     EXIT_PASS,
     EXIT_PRECISION,
+    MAX_LITERAL_DIGITS,
     MAX_ORDER,
     build_parser,
     complete_args,
@@ -172,6 +173,29 @@ class TestTallLiterals:
         run(capsys, *argv)
         assert sys.get_int_max_str_digits() == limit
 
+    # the bound is checked before parsing, the same for every backend
+    def test_literal_at_the_digit_bound(self, capsys):
+        literal = "7" * MAX_LITERAL_DIGITS
+        code, out, _ = run(
+            capsys, "dual", "--hg", "--a", literal + ",1/3", "--b", "1/5"
+        )
+        assert MAX_LITERAL_DIGITS == 4300
+        assert code == EXIT_PASS
+        assert literal in out
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["7" * 4301, "1/" + "3" * 4301, "2." + "1" * 4301, "1_" * 4300 + "1"],
+        ids=["numerator", "denominator", "decimal", "underscores"],
+    )
+    def test_literal_above_the_digit_bound(self, capsys, literal):
+        with pytest.raises(SystemExit) as exc:
+            main(["dual", "--hg", "--a", literal + ",1/3", "--b", "1/5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "more than 4300 digits" in err
+        assert len(err) < 400
+
 
 class TestExitCodes:
     def test_degenerate_parameters(self, capsys):
@@ -245,6 +269,13 @@ class TestOptionScope:
 
 
 class TestVerify:
+    # argparse reads "--a -1/2,1/3" as a missing value followed by an option
+    def test_negative_first_entry_in_equals_form(self, capsys):
+        code, out, _ = run(capsys, "verify", "--hg", "--a=-1/2,1/3", "--b=-1/5")
+        assert code == EXIT_PASS
+        assert "a = (-1/2, 1/3), b = (-1/5, 1)" in out
+        assert "overall: pass" in out
+
     def test_explicit_parameters_pass(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--hg", "--a", "1/2,1/3", "--b", "1/5"

@@ -9,11 +9,13 @@ from sympy.polys.matrices import DomainMatrix
 
 import hgdual.hypergeometric as hg
 import hgdual.q_hypergeometric as qhg
+from hgdual.cli import MAX_R
 from hgdual.exact_algebra import (
     Polynomial,
     Q,
     RationalFunction,
     TruncatedSeries,
+    poly_lcm,
     series_of_ratfunc,
 )
 from hgdual.skew_operators import (
@@ -24,6 +26,7 @@ from hgdual.skew_operators import (
     SingularMatrix,
     SkewOperator,
     TaggedSeries,
+    _triangular_order,
     dual_operator,
     matrix_det,
     matrix_identity,
@@ -309,6 +312,41 @@ class TestWronskian:
         assert not w.body.is_zero
 
 
+def gauss_jordan_invert(mat):
+    """The general inverse that matrix_invert is compared with: one
+    fraction-free (Bareiss) Gauss-Jordan pass takes [C | I] to [d I | T]
+    with T C = d I, where C = den * mat, so mat^{-1} = den T / d. Every
+    entry stays a minor of [C | I], so the divisions by the previous pivot
+    are exact."""
+    n = len(mat)
+    den = Polynomial.one()
+    for row in mat:
+        for e in row:
+            den = poly_lcm(den, e.den)
+    m = [
+        [e.num * den.divexact(e.den) for e in row]
+        + [Polynomial.one() if i == j else Polynomial.zero() for j in range(n)]
+        for i, row in enumerate(mat)
+    ]
+    prev = Polynomial.one()
+    for k in range(n):
+        swap = next((i for i in range(k, n) if not m[i][k].is_zero), None)
+        if swap is None:
+            raise SingularMatrix("matrix has zero determinant")
+        m[k], m[swap] = m[swap], m[k]
+        pivot, pivot_row = m[k][k], m[k]
+        for i, row in enumerate(m):
+            if i == k:
+                continue
+            factor = row[k]
+            row[k + 1 :] = [
+                (pivot * x - factor * y).divexact(prev)
+                for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
+            ]
+        prev = pivot
+    return [[RationalFunction(den * x, prev) for x in row[n:]] for row in m]
+
+
 class TestMatrixInvert:
     def test_identity(self):
         eye = matrix_identity(3)
@@ -321,7 +359,15 @@ class TestMatrixInvert:
 
     def test_multiply_back_2x2(self):
         m = [[rf(1, 1), rf(0, 1)], [rf(1), rf(1, -1)]]
-        assert matrix_mul(m, matrix_invert(m)) == matrix_identity(2)
+        assert matrix_mul(m, gauss_jordan_invert(m)) == matrix_identity(2)
+
+    def test_no_triangular_order_rejected(self):
+        # det = 1 - z - z^2, but every row has two nonzero entries
+        m = [[rf(1, 1), rf(0, 1)], [rf(1), rf(1, -1)]]
+        assert not matrix_det(m).is_zero
+        with pytest.raises(ValueError, match="not triangular") as exc:
+            matrix_invert(m)
+        assert not isinstance(exc.value, SingularMatrix)
 
     def test_singular_determinant_is_zero(self):
         m = [
@@ -332,6 +378,71 @@ class TestMatrixInvert:
         assert matrix_det(m).is_zero
         with pytest.raises(SingularMatrix):
             matrix_invert(m)
+
+
+_POLY = st.lists(st.integers(-5, 5), min_size=1, max_size=3).map(Polynomial)
+_DEN = st.sampled_from([(1,), (1,), (1, 1), (2, -1), (3,)]).map(Polynomial)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5))
+def test_shuffled_triangular_inverse_matches_gauss_jordan(data, n):
+    """An upper triangular matrix with a nonzero diagonal, its rows and
+    columns shuffled: matrix_invert agrees with the general inverse and
+    multiplies back on both sides."""
+    rows = data.draw(st.permutations(range(n)))
+    cols = data.draw(st.permutations(range(n)))
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i > j:
+                entry = RationalFunction.zero()
+            else:
+                num = _POLY.filter(lambda p: not p.is_zero) if i == j else _POLY
+                entry = RationalFunction(data.draw(num), data.draw(_DEN))
+            m[rows[i]][cols[j]] = entry
+    inv = matrix_invert(m)
+    assert inv == gauss_jordan_invert(m)
+    assert matrix_mul(m, inv) == matrix_identity(n)
+    assert matrix_mul(inv, m) == matrix_identity(n)
+
+
+def _predicted_pivots(family, op):
+    """The pivots of Psi in a triangular order, by construction: (-1)^i A_r
+    at (i, r-1-i) for theta; Delta^(k-1)(A_0) at (k, k-1) and
+    -Delta^(-1)(A_r) at (0, r-1) for q."""
+    r = op.order
+    if family is hg:
+        lead = op.coefficient(r)
+        return {(i, r - 1 - i): lead if i % 2 == 0 else -lead for i in range(r)}
+    pivots = {(0, r - 1): -op.coefficient(r).scale_arg(1 / op.q)}
+    for k in range(1, r):
+        pivots[(k, k - 1)] = op.coefficient(0).scale_arg(op.q ** (k - 1))
+    return pivots
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.integers(2, MAX_R),
+    seed=st.integers(0, 10**6),
+    family_base=st.sampled_from(
+        [(hg, ()), (qhg, (Q(1, 2),)), (qhg, (Q(2, 3),)), (qhg, (Q(1, 5),))]
+    ),
+)
+def test_psi_has_a_triangular_order(r, seed, family_base):
+    """The structure matrix_invert relies on: Psi of either family is upper
+    triangular up to row and column order, with the pivots predicted by
+    its construction."""
+    family, base = family_base
+    op = family.operator(family.sample_params(random.Random(seed), r, *base))
+    psi = family.psi(op)
+    rows, cols = _triangular_order(psi)
+    for i in range(r):
+        for j in range(i):
+            assert psi[rows[i]][cols[j]].is_zero
+    assert {(i, j): psi[i][j] for i, j in zip(rows, cols)} == _predicted_pivots(
+        family, op
+    )
 
 
 _Z = sympy.Symbol("z")
@@ -378,8 +489,16 @@ def test_matrix_inverse_multiplies_back(entries):
         for i in range(3)
     ]
     try:
-        inv = matrix_invert(m)
+        inv = gauss_jordan_invert(m)
     except SingularMatrix:
+        with pytest.raises(SingularMatrix):
+            matrix_invert(m)
         return
     assert matrix_mul(m, inv) == matrix_identity(3)
     assert matrix_mul(inv, m) == matrix_identity(3)
+    # the triangular inverse agrees where it applies and refuses the rest
+    if _triangular_order(m) is None:
+        with pytest.raises(ValueError, match="not triangular"):
+            matrix_invert(m)
+    else:
+        assert matrix_invert(m) == inv
