@@ -341,19 +341,21 @@ def regression_text(docs):
 def _rational_arg(text):
     """A rational literal p/q or a decimal. Exponent notation is refused, so
     that the height of a literal is bounded by its length, and so is a part
-    with more than MAX_LITERAL_DIGITS digits."""
+    with more than MAX_LITERAL_DIGITS digits. An error echoes at most the
+    first 20 characters of the literal."""
+    shown = repr(text[:20]) + ("..." if len(text) > 20 else "")
     parts = re.split(r"[/.]", text)
     if max(len(re.sub(r"\D", "", part)) for part in parts) > MAX_LITERAL_DIGITS:
         raise argparse.ArgumentTypeError(
-            "more than %d digits in one part of the literal %r..."
-            % (MAX_LITERAL_DIGITS, text[:20])
+            "more than %d digits in one part of the literal %s"
+            % (MAX_LITERAL_DIGITS, shown)
         )
     if "e" not in text.lower():
         try:
             return rat(text)
         except (ValueError, ZeroDivisionError, TypeError):
             pass
-    raise argparse.ArgumentTypeError("not a rational literal: %r" % text)
+    raise argparse.ArgumentTypeError("not a rational literal: %s" % shown)
 
 
 def _rational_list_arg(text):

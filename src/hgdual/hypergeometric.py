@@ -2,13 +2,18 @@
 its dual parameters, the solution bases f_i/g_i, the pairing constants, the
 duality matrix M = Psi^{-1}, and exact verification of the bilinear sum
 identities including the closed-form r=2 and r=3 matrices.
+
+Every body of both families comes from one term-ratio recurrence, whose
+factorial is the implicit last lower parameter. The dual basis is the
+primal basis of the dual parameters a -> 1-a, b -> 2-b.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
+from operator import add
 
 from .exact_algebra import (
     Polynomial,
@@ -45,17 +50,6 @@ def check_order(r):
     """The duality theory needs r >= 2 upper and lower parameters."""
     if r < 2:
         raise DegenerateParameters("need r >= 2 with r upper and r lower parameters")
-
-
-def pochhammer(x, n):
-    """Rising factorial x(x+1)...(x+n-1), with (x)_0 = 1."""
-    if n < 0:
-        raise ValueError("pochhammer index must be non-negative")
-    x = rat(x)
-    acc = Q(1)
-    for k in range(n):
-        acc *= x + k
-    return acc
 
 
 def elementary_symmetric(values):
@@ -172,45 +166,43 @@ def psi_det(op):
     return acc
 
 
-def hypergeometric_body(upper, lower, N):
-    """Series sum_n c_n z^n with c_0 = 1 and
-    c_{n+1}/c_n = prod(u+n) / (prod(l+n) * (n+1)); the (n+1) factor is the
-    implicit factorial."""
-    upper = [rat(u) for u in upper]
-    lower = [rat(l) for l in lower]
-    for l in lower:
-        if is_integer(l) and l <= 0:
-            raise DegenerateParameters("lower parameter %s is a non-positive integer" % l)
+def term_ratio_series(upper, lower, N, factor):
+    """Series sum_n c_n z^n through z^N with c_0 = 1 and
+    c_{n+1} = c_n prod factor(u, n) / prod factor(l, n), the one recurrence
+    of both families: factor(x, n) is x + n resp. 1 - x q^n, and the
+    factorial is the last lower parameter, 1 resp. q. A lower factor that
+    vanishes at a step n < N raises DegenerateParameters."""
     coeffs = [Q(1)]
     for n in range(N):
-        num = Q(1)
-        for u in upper:
-            num *= u + n
-        den = Q(n + 1)
-        for l in lower:
-            den *= l + n
-        coeffs.append(coeffs[-1] * num / den)
+        den = prod((factor(l, n) for l in lower), start=Q(1))
+        if not den:
+            l = next(l for l in lower if factor(l, n) == 0)
+            raise DegenerateParameters(
+                "lower parameter %s gives a zero factor at n = %d" % (l, n)
+            )
+        # one product of the tall c_n by a short ratio, not two
+        coeffs.append(coeffs[-1] * (prod(factor(u, n) for u in upper) / den))
     return TruncatedSeries(coeffs)
 
 
+def hypergeometric_body(upper, lower, N):
+    """sum_n prod (u)_n / (prod (l)_n n!) z^n through z^N."""
+    return term_ratio_series([*map(rat, upper)], [*map(rat, lower), Q(1)], N, add)
+
+
 def solution_basis(p, N, which="primal"):
-    """Basis i = z^{1-b_i} F(a_k+1-b_i ; b_j+1-b_i, j != i) for the primal
-    family; the dual family swaps to z^{b_i-1} F(b_i-a_k ; b_i+1-b_j)."""
+    """The primal basis f_i = z^{1-b_i} F(a_k+1-b_i ; b_j+1-b_i) over all
+    j, where j = i gives the factorial 1; the dual basis g_i is the primal
+    basis of p.dual()."""
     if which not in ("primal", "dual"):
         raise ValueError("which must be 'primal' or 'dual'")
+    if which == "dual":
+        p = p.dual()
     entries = []
-    for i in range(p.r):
-        bi = p.b[i]
-        if which == "primal":
-            offset = 1 - bi
-            upper = [x + 1 - bi for x in p.a]
-            lower = [x + 1 - bi for j, x in enumerate(p.b) if j != i]
-        else:
-            offset = bi - 1
-            upper = [bi - x for x in p.a]
-            lower = [bi + 1 - x for j, x in enumerate(p.b) if j != i]
-        body = hypergeometric_body(upper, lower, N)
-        entries.append(TaggedSeries(THETA, offset, body))
+    for bi in p.b:
+        upper = [x + 1 - bi for x in p.a]
+        body = term_ratio_series(upper, [x + 1 - bi for x in p.b], N, add)
+        entries.append(TaggedSeries(THETA, 1 - bi, body))
     return SolutionBasis(tuple(entries))
 
 
@@ -361,15 +353,6 @@ def closed_form_m_r3(p):
     ]
 
 
-def binomial_series(e, N):
-    """(1-z)^e for rational e: c_0 = 1, c_{n+1} = c_n (n-e)/(n+1)."""
-    e = rat(e)
-    coeffs = [Q(1)]
-    for n in range(N):
-        coeffs.append(coeffs[-1] * (n - e) / (n + 1))
-    return TruncatedSeries(coeffs)
-
-
 def verify_euler_identity(a1, a2, b1, N):
     """Two classical order-2 checks at the given parameters: the quadratic
     transformation F(a,b;c;z) = (1-z)^{c-a-b} F(c-a,c-b;c;z), and the
@@ -378,7 +361,8 @@ def verify_euler_identity(a1, a2, b1, N):
     p = HGParams.make([a1, a2], [b1])
     left = hypergeometric_body([a1, a2], [b1], N)
     right = hypergeometric_body([b1 - a1, b1 - a2], [b1], N)
-    transform_ok = left == binomial_series(b1 - a1 - a2, N) * right
+    prefactor = hypergeometric_body([a1 + a2 - b1], [], N)  # (1-z)^{c-a-b}
+    transform_ok = left == prefactor * right
     primal = solution_basis(p, N, "primal").entries
     dual = solution_basis(p, N, "dual").entries
     product_ok = primal[1].body * dual[1].body == primal[0].body * dual[0].body
@@ -393,7 +377,8 @@ def verify_euler_identity(a1, a2, b1, N):
 # read these names as module attributes, and q_hypergeometric defines the
 # same ones. Besides the aliases below they are dual_operator (imported),
 # dual_unit, argument_rescale, psi_det, sample_params, solution_basis,
-# duality_matrix, bilinear_sum_table and structure_ok.
+# duality_matrix, bilinear_sum_table and structure_ok; test_family_surface
+# in tests/test_cli.py checks the list on both modules.
 Params = HGParams
 operator = hg_operator
 psi = psi_matrix

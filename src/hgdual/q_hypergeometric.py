@@ -3,6 +3,10 @@ the shift-form operator, its dual parameter map with argument rescale, the
 solution bases, the pairing constants, the duality matrix M_q = Psi_q^{-1},
 and exact verification of the bilinear sum identities with their closed
 forms.
+
+Every body comes from hypergeometric.term_ratio_series with the factor
+1 - x q^n and the q-factorial as last lower parameter q. The dual basis is
+the primal basis of the dual parameters a -> q/a, b -> q^2/b in rho*z.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from .exact_algebra import (
     Polynomial,
     Q,
     RationalFunction,
-    TruncatedSeries,
     bilinear_combinations,
     integer_scale_arg,
     rat,
@@ -24,6 +27,7 @@ from .hypergeometric import (
     check_order,
     draw_params,
     elementary_symmetric,
+    term_ratio_series,
 )
 from .skew_operators import (
     QSHIFT,
@@ -37,19 +41,6 @@ from .skew_operators import (
     q_dual_operator,
     verify_duality,
 )
-
-
-def q_pochhammer(a, q, n):
-    """q-shifted factorial (a;q)_n = (1-a)(1-aq)...(1-aq^{n-1})."""
-    if n < 0:
-        raise ValueError("q-pochhammer index must be non-negative")
-    a, q = rat(a), rat(q)
-    acc = Q(1)
-    power = Q(1)
-    for _ in range(n):
-        acc *= 1 - a * power
-        power *= q
-    return acc
 
 
 def check_base(q):
@@ -202,53 +193,37 @@ def rescale_operator(op, c):
     return SkewOperator(op.mode, [a.scale_arg(c) for a in op.coeffs], op.q)
 
 
+def _shifted(q, N):
+    """The q-family factor x, n -> 1 - x q^n for n < N."""
+    powers = [q**n for n in range(N)]
+    return lambda x, n: 1 - x * powers[n]
+
+
 def q_hypergeometric_body(upper, lower, q, N):
-    """Series sum_n c_n z^n with c_0 = 1 and
-    c_{n+1}/c_n = prod(1 - u q^n) / (prod(1 - l q^n) * (1 - q^{n+1})); the
-    final factor is the implicit q-factorial."""
-    upper = [rat(u) for u in upper]
-    lower = [rat(l) for l in lower]
+    """sum_n prod (u;q)_n / (prod (l;q)_n (q;q)_n) z^n through z^N."""
     q = rat(q)
-    coeffs = [Q(1)]
-    qn = Q(1)
-    for n in range(N):
-        num = Q(1)
-        for u in upper:
-            num *= 1 - u * qn
-        den = 1 - qn * q
-        for l in lower:
-            factor = 1 - l * qn
-            if factor == 0:
-                raise DegenerateParameters(
-                    "lower parameter %s is an inverse power of q" % l
-                )
-            den *= factor
-        coeffs.append(coeffs[-1] * num / den)
-        qn *= q
-    return TruncatedSeries(coeffs)
+    return term_ratio_series(
+        [*map(rat, upper)], [*map(rat, lower), q], N, _shifted(q, N)
+    )
 
 
 def q_solution_basis(p, N, which="primal"):
-    """Primal entry i carries the shift eigenvalue q/b_i and body parameters
-    (q a_k/b_i ; q b_j/b_i, j != i); the dual entry carries b_i/q with body
-    (b_i/a_k ; q b_i/b_j, j != i) in the rescaled argument rho*z."""
+    """Primal entry i carries the shift eigenvalue q/b_i and the body
+    parameters (q a_k/b_i ; q b_j/b_i) over all j, where j = i gives the
+    q-factorial q; the dual basis is the primal basis of p.dual() in the
+    variable rho*z, rho = argument_rescale(p)."""
     if which not in ("primal", "dual"):
         raise ValueError("which must be 'primal' or 'dual'")
-    rho = argument_rescale(p) if which == "dual" else None
+    q, rho = p.q, None
+    if which == "dual":
+        p, rho = p.dual(), argument_rescale(p)
+    factor = _shifted(q, N)
     entries = []
-    for i in range(p.r):
-        bi = p.b[i]
-        if which == "primal":
-            mu = p.q / bi
-            upper = [p.q * x / bi for x in p.a]
-            lower = [p.q * x / bi for j, x in enumerate(p.b) if j != i]
-            body = q_hypergeometric_body(upper, lower, p.q, N)
-        else:
-            mu = bi / p.q
-            upper = [bi / x for x in p.a]
-            lower = [p.q * bi / x for j, x in enumerate(p.b) if j != i]
-            body = q_hypergeometric_body(upper, lower, p.q, N).scale_arg(rho)
-        entries.append(TaggedSeries(QSHIFT, mu, body, p.q))
+    for bi in p.b:
+        upper = [q * x / bi for x in p.a]
+        body = term_ratio_series(upper, [q * x / bi for x in p.b], N, factor)
+        body = body if rho is None else body.scale_arg(rho)
+        entries.append(TaggedSeries(QSHIFT, q / bi, body, q))
     return SolutionBasis(tuple(entries))
 
 

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+import hgdual.hypergeometric as hg
+import hgdual.q_hypergeometric as qhg
 from hgdual.cli import (
     EXIT_DEGENERATE,
     EXIT_MISMATCH,
@@ -194,6 +196,23 @@ class TestTallLiterals:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "more than 4300 digits" in err
+        assert len(err) < 400
+
+    # a malformed literal is echoed by its first 20 characters only
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--a", "7" * 4000 + "x,1/3", "--b", "1/5"),
+            ("--a", "1/2,1/3", "--b", "1/5" + "x" * 5000),
+        ],
+        ids=["digits", "letters"],
+    )
+    def test_long_malformed_literal(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["dual", "--hg", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "not a rational literal" in err
         assert len(err) < 400
 
 
@@ -422,3 +441,28 @@ def test_pinned_stdout(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
     assert code == EXIT_PASS
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The names skew_operators.verify_duality and the command line read from a
+# family module.
+FAMILY_SURFACE = (
+    "Params",
+    "operator",
+    "dual_operator",
+    "dual_unit",
+    "argument_rescale",
+    "psi",
+    "psi_det",
+    "sample_params",
+    "solution_basis",
+    "duality_matrix",
+    "bilinear_sum_table",
+    "structure_ok",
+    "verify",
+)
+
+
+@pytest.mark.parametrize("family", [hg, qhg], ids=["theta", "q"])
+@pytest.mark.parametrize("name", FAMILY_SURFACE)
+def test_family_surface(family, name):
+    assert callable(getattr(family, name))

@@ -1,5 +1,7 @@
 """Differential-case tests: operator, bases, constants, duality matrix."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from hgdual.exact_algebra import (
     Q,
     RationalFunction,
     TruncatedSeries,
+    rat,
     series_of_ratfunc,
 )
 from hgdual.hypergeometric import (
@@ -24,7 +27,7 @@ from hgdual.hypergeometric import (
     elementary_symmetric,
     hg_operator,
     hypergeometric_body,
-    pochhammer,
+    sample_params,
     solution_basis,
     verify_euler_identity,
     verify_theorem1,
@@ -39,6 +42,18 @@ from hgdual.skew_operators import (
 
 P22 = HGParams.make([Q(1, 2), Q(1, 3)], [Q(1, 5)])
 P33 = HGParams.make([Q(1, 2), Q(1, 3), Q(3, 7)], [Q(1, 5), Q(5, 3)])
+
+
+def pochhammer(x, n):
+    """Rising factorial x(x+1)...(x+n-1), with (x)_0 = 1: the closed form
+    the term-ratio recurrence is checked against."""
+    if n < 0:
+        raise ValueError("pochhammer index must be non-negative")
+    x = rat(x)
+    acc = Q(1)
+    for k in range(n):
+        acc *= x + k
+    return acc
 
 
 class TestPochhammer:
@@ -123,6 +138,10 @@ class TestSolutionBases:
         ours = solution_basis(P33, 8, "dual").entries
         theirs = solution_basis(P33.dual(), 8, "primal").entries
         assert ours == theirs
+
+    def test_unknown_which_rejected(self):
+        with pytest.raises(ValueError, match="which must be"):
+            solution_basis(P22, 3, "both")
 
     def test_wronskian_nonzero(self):
         w = wronskian_det(list(solution_basis(P33, 10, "primal").entries))
@@ -267,3 +286,66 @@ def test_elementary_symmetric_concrete():
 def test_body_lower_parameter_guard():
     with pytest.raises(DegenerateParameters):
         hypergeometric_body([Q(1, 2)], [Q(-1)], 5)
+
+
+# hypergeometric_body against its closed form prod (u)_n / (prod (l)_n n!)
+rationals = st.builds(Q, st.integers(-40, 40), st.integers(1, 12))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    upper=st.lists(rationals, max_size=4),
+    lower=st.lists(rational_strategy(), max_size=4),
+)
+def test_body_matches_pochhammer_closed_form(upper, lower):
+    N = 10
+    body = hypergeometric_body(upper, lower, N)
+    for n in range(N + 1):
+        den = pochhammer(1, n)
+        for l in lower:
+            den *= pochhammer(l, n)
+        num = Q(1)
+        for u in upper:
+            num *= pochhammer(u, n)
+        assert body.coefficient(n) == num / den, n
+
+
+@pytest.mark.parametrize("e", range(-3, 4))
+def test_binomial_body(e):
+    N = 12
+    omz = RationalFunction(Polynomial([1, -1]))
+    power = RationalFunction.one()
+    for _ in range(abs(e)):
+        power = power * omz if e > 0 else power / omz
+    assert hypergeometric_body([-e], [], N) == series_of_ratfunc(power, N)
+
+
+def test_zero_factor_rule():
+    # the lower factor -k + n vanishes at the step n = k, taken only if k < N
+    N = 8
+    with pytest.raises(DegenerateParameters, match="n = 7"):
+        hypergeometric_body([Q(1, 2)], [Q(-(N - 1))], N)
+    body = hypergeometric_body([Q(1, 2)], [Q(-N)], N)
+    assert body.coefficient(N) == pochhammer(Q(1, 2), N) / (
+        pochhammer(-N, N) * pochhammer(1, N)
+    )
+
+
+def explicit_dual_basis(p, N):
+    """g_i = z^{b_i-1} F(b_i-a_k ; b_i+1-b_j, j != i), written out."""
+    entries = []
+    for i, bi in enumerate(p.b):
+        upper = [bi - x for x in p.a]
+        lower = [bi + 1 - x for j, x in enumerate(p.b) if j != i]
+        entries.append((bi - 1, hypergeometric_body(upper, lower, N)))
+    return entries
+
+
+@settings(max_examples=20, deadline=None)
+@given(r=st.integers(2, 8), seed=st.integers(0, 10**6))
+def test_dual_basis_matches_explicit_formulas(r, seed):
+    p = sample_params(random.Random(seed), r)
+    dual = solution_basis(p, 12, "dual").entries
+    for g, (offset, body) in zip(dual, explicit_dual_basis(p, 12), strict=True):
+        assert g.offset == offset
+        assert g.body == body

@@ -1,13 +1,16 @@
 """Shift-case tests: operator, bases, constants, duality matrix, closed forms."""
 
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hgdual.exact_algebra import (
     Polynomial,
     Q,
     RationalFunction,
     TruncatedSeries,
+    rat,
     series_of_ratfunc,
 )
 from hgdual.hypergeometric import DegenerateParameters
@@ -23,10 +26,10 @@ from hgdual.q_hypergeometric import (
     q_duality_matrix,
     q_duality_weights,
     q_hypergeometric_body,
-    q_pochhammer,
     q_solution_basis,
     qhg_operator,
     rescale_operator,
+    sample_params,
     superdiagonal_entry,
     verify_heine_identity,
     verify_theorem2,
@@ -43,6 +46,21 @@ from hgdual.skew_operators import (
 
 QP2 = QHGParams.make(Q(1, 2), [Q(1, 3), Q(1, 7)], [Q(1, 5)])
 QP3 = QHGParams.make(Q(1, 2), [Q(1, 3), Q(1, 7), Q(2, 3)], [Q(1, 5), Q(3, 7)])
+BASES = [Q(1, 2), Q(2, 3), Q(1, 5)]
+
+
+def q_pochhammer(a, q, n):
+    """q-shifted factorial (a;q)_n = (1-a)(1-aq)...(1-aq^{n-1}): the closed
+    form the term-ratio recurrence is checked against."""
+    if n < 0:
+        raise ValueError("q-pochhammer index must be non-negative")
+    a, q = rat(a), rat(q)
+    acc = Q(1)
+    power = Q(1)
+    for _ in range(n):
+        acc *= 1 - a * power
+        power *= q
+    return acc
 
 
 class TestQPochhammer:
@@ -161,6 +179,10 @@ class TestSolutionBases:
         folded = q_solution_basis(QP2, 5, "dual").entries[0].body
         assert folded == plain.scale_arg(rho)
 
+    def test_unknown_which_rejected(self):
+        with pytest.raises(ValueError, match="which must be"):
+            q_solution_basis(QP2, 3, "both")
+
     def test_wronskian_nonzero(self):
         for which in ("primal", "dual"):
             w = wronskian_det(list(q_solution_basis(QP3, 10, which).entries))
@@ -269,3 +291,66 @@ def test_r2_matrix_matches_closed_form_everywhere(a, b1):
     except DegenerateParameters:
         return
     assert q_duality_matrix(p) == closed_form_mq_r2(p)
+
+
+# q_hypergeometric_body against its closed form
+# prod (u;q)_n / (prod (l;q)_n (q;q)_n)
+rationals = st.builds(Q, st.integers(-40, 40), st.integers(1, 12))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q=st.sampled_from(BASES),
+    upper=st.lists(rationals, max_size=4),
+    lower=st.lists(rationals, max_size=4),
+)
+def test_body_matches_q_pochhammer_closed_form(q, upper, lower):
+    N = 10
+    assume(all(q_pochhammer(l, q, N) != 0 for l in lower))
+    body = q_hypergeometric_body(upper, lower, q, N)
+    for n in range(N + 1):
+        den = q_pochhammer(q, q, n)
+        for l in lower:
+            den *= q_pochhammer(l, q, n)
+        num = Q(1)
+        for u in upper:
+            num *= q_pochhammer(u, q, n)
+        assert body.coefficient(n) == num / den, n
+
+
+@pytest.mark.parametrize("q", BASES, ids=["q=1/2", "q=2/3", "q=1/5"])
+def test_zero_factor_rule(q):
+    # the lower factor 1 - q^(n-k) vanishes at the step n = k, taken only
+    # if k < N
+    N = 8
+    with pytest.raises(DegenerateParameters, match="n = 7"):
+        q_hypergeometric_body([Q(1, 3)], [q ** -(N - 1)], q, N)
+    body = q_hypergeometric_body([Q(1, 3)], [q**-N], q, N)
+    assert body.coefficient(N) == q_pochhammer(Q(1, 3), q, N) / (
+        q_pochhammer(q**-N, q, N) * q_pochhammer(q, q, N)
+    )
+
+
+def explicit_dual_basis(p, N):
+    """g_i with the shift eigenvalue b_i/q and the body
+    (b_i/a_k ; q b_i/b_j, j != i) in the variable rho*z, written out."""
+    rho = argument_rescale(p)
+    entries = []
+    for i, bi in enumerate(p.b):
+        upper = [bi / x for x in p.a]
+        lower = [p.q * bi / x for j, x in enumerate(p.b) if j != i]
+        body = q_hypergeometric_body(upper, lower, p.q, N).scale_arg(rho)
+        entries.append((bi / p.q, body))
+    return entries
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    q=st.sampled_from(BASES), r=st.integers(2, 8), seed=st.integers(0, 10**6)
+)
+def test_dual_basis_matches_explicit_formulas(q, r, seed):
+    p = sample_params(random.Random(seed), r, q)
+    dual = q_solution_basis(p, 12, "dual").entries
+    for g, (mu, body) in zip(dual, explicit_dual_basis(p, 12), strict=True):
+        assert g.offset == mu
+        assert g.body == body
