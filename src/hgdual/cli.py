@@ -12,9 +12,10 @@ import re
 import sys
 from dataclasses import fields
 
+from . import __version__
 from . import hypergeometric as hg
 from . import q_hypergeometric as qhg
-from .exact_algebra import rat
+from .exact_algebra import Q, kernel_workers, rat
 from .hypergeometric import DegenerateParameters
 from .skew_operators import (
     DegenerateOperator,
@@ -104,6 +105,8 @@ def cell_json(cell):
         out["expected"] = ratfunc_json(cell.expected)
     if cell.got_prefix is not None:
         out["got"] = [str(c) for c in cell.got_prefix]
+    if cell.first_diff is not None:
+        out["first_diff"] = cell.first_diff
     return out
 
 
@@ -225,6 +228,9 @@ def verify_text(docs):
         yield "sample %d: %s" % (idx, params_text(doc["params"]))
         for cell in doc["results"]:
             yield "  cell (%d,%d): %s" % (*cell["cell"], verdict(cell["pass"]))
+            # on a line of its own: cell lines end with their verdict
+            if "first_diff" in cell:
+                yield "    first difference at z^%d" % cell["first_diff"]
         yield "sample %d result: %s" % (idx, verdict(all_passed(doc)))
     yield "overall: %s" % verdict(all(map(all_passed, docs)))
 
@@ -367,6 +373,14 @@ def build_parser():
         prog="hgdual",
         description="Exact duality computations for generalized and basic "
         "hypergeometric operators.",
+    )
+    parser.add_argument(
+        "--version",
+        action="version",
+        version="hgdual %s, backend %s, kernel workers %d"
+        % (__version__, Q.__module__, kernel_workers()),
+        help="print the version, the arithmetic backend (fractions or gmpy2) "
+        "and the number of processes the bilinear-sum kernel splits over",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     param_commands = ("dual", "psi", "matrix", "verify")

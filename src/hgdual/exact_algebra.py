@@ -29,8 +29,9 @@ __all__ = [
     "rational_reconstruct",
     "integer_vector",
     "bilinear_combinations",
+    "kernel_workers",
     "integer_scale_arg",
-    "integer_matches_ratfunc",
+    "integer_first_mismatch",
     "series_of_integer_vector",
     "PoleAtOrigin",
     "ReconstructionFailed",
@@ -480,6 +481,177 @@ def _graded_lifts(s, length):
         yield x, prefix
 
 
+# A kernel call splits its output coefficients over at most this many
+# processes. Only a split in two has been timed (2-CPU host); raise the cap
+# after timing splits in three and four against FORK_MIN_WORK.
+# The split imports os, threading, marshal and signal where it uses them,
+# so that importing the package costs no more than without it.
+MAX_KERNEL_WORKERS = 2
+# The least work estimate, pairs x outputs x length^2 x bits of the last
+# pair's last coefficients, at which a call forks. One fork with its exit
+# and reap costs 3-4 ms (2-CPU Linux host, Python 3.11, Fraction backend,
+# the package loaded). At order 40 (theta, q = 1/2 and 2/3, r = 2..5,
+# best of 9), calls with estimates up to 8.5e7 (theta r = 3, q = 1/2 at
+# r = 2) took 7-17 ms serially and were no faster split in two; from
+# 1.05e8 on (q = 2/3 at r = 2, 18-22 ms) they took 5-15% less, and from
+# 1.4e8 on (theta r >= 4, q at r >= 3) 10-40% less.
+FORK_MIN_WORK = 100_000_000
+
+
+def kernel_workers():
+    """The processes a large kernel call splits over: the CPUs this process
+    may run on, at most MAX_KERNEL_WORKERS, or 1 where it cannot fork."""
+    import os
+
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), MAX_KERNEL_WORKERS)
+
+
+def _worker_count(pairs, outputs, length):
+    """kernel_workers() for a call whose work estimate reaches
+    FORK_MIN_WORK while this is the only thread (a forked child holds only
+    the calling thread, so a lock another thread holds would stay locked
+    in it), else 1."""
+    import threading
+
+    if threading.active_count() > 1:
+        return 1
+    workers = kernel_workers()
+    if workers == 1:
+        return 1
+    last = [s.coeffs[length - 1] for s in pairs[-1]]
+    bits = sum(int(c.numerator).bit_length() + int(c.denominator).bit_length()
+               for c in last)
+    work = len(pairs) * len(outputs) * length**2 * bits
+    return workers if work >= FORK_MIN_WORK else 1
+
+
+def _share(pairs, scales, factors, consts, length, part, parts):
+    """Output coefficients m = part, part + parts, ... < length of every
+    output of bilinear_combinations, each reduced by its own gcd: one row
+    of (numerator, denominator) pairs per output."""
+    lifts = [zip(_graded_lifts(a, length), _graded_lifts(b, length)) for a, b in pairs]
+    rows = [[] for _ in consts]
+    for m, state in enumerate(zip(*lifts)):
+        if m % parts != part:
+            continue
+        pair_dens = [la * lb for (_, la), (_, lb) in state]
+        d_m = lcm(*pair_dens)
+        sums = [0] * len(consts)
+        for i, (((a, _), (b, _)), pd) in enumerate(zip(state, pair_dens)):
+            terms = list(map(mul, a, reversed(b)))
+            c = d_m // pd
+            for j, (srow, frow) in enumerate(zip(scales, factors)):
+                sums[j] += frow[i] * c * sum(map(mul, terms, srow[i]))
+        for row, acc, e in zip(rows, sums, consts):
+            den = e * d_m
+            g = gcd(acc, den)
+            row.append((acc // g, den // g))
+    return rows
+
+
+def _holding_interrupts(step, *args):
+    """step(*args) with SIGINT and SIGALRM held back until it returns, so
+    that an interrupt (KeyboardInterrupt, or an exception raised by a
+    timer's handler) cannot fall between a fork or a wait and the entry in
+    the table of children that records it. step keeps that table itself:
+    an interrupt held back is raised as soon as step returns, and the
+    result of step is then lost."""
+    import signal
+
+    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    held = {signal.SIGINT, signal.SIGALRM} - blocked
+    try:
+        signal.pthread_sigmask(signal.SIG_BLOCK, held)
+        return step(*args)
+    finally:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, held)
+
+
+def _fork_share(children, share, part):
+    """Fork a child that writes share(part), marshalled, to a pipe and
+    leaves through os._exit, so that it never returns into the caller nor
+    flushes the caller's buffered output, and enter it as
+    children[part] = (pid, read end). The child keeps the signal mask of
+    _holding_interrupts: an interrupt goes to the caller, which kills it."""
+    import marshal
+    import os
+
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                marshal.dump(share(part), pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    children[part] = pid, read
+
+
+def _reap(children, kill, part=None):
+    """Take the child of share part, or every child when part is None, out
+    of children, close its read end and wait for it, after killing it when
+    kill; the exit code of the last one waited for. A pid is signalled
+    only while it is in children, that is, before it has been waited for."""
+    import os
+    import signal
+
+    code = None
+    for part in list(children) if part is None else [part]:
+        pid, read = children.pop(part)
+        os.close(read)
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return code
+
+
+def _run_shares(share, parts):
+    """[share(0), ..., share(parts - 1)], with the shares after the first
+    computed in forked children while this process computes share(0).
+
+    A share whose child cannot be forked, exits non-zero or sends an
+    undecodable payload is computed here instead, to the same integers.
+    Every child is reaped before this returns or raises; when share(0)
+    raises (an interrupt included), the children still running are killed
+    first.
+    """
+    import marshal
+
+    children = {}
+    try:
+        for part in range(1, parts):
+            try:
+                _holding_interrupts(_fork_share, children, share, part)
+            except OSError:
+                break
+        results = [share(0)]
+        for part in range(1, parts):
+            rows = None
+            if part in children:
+                with open(children[part][1], "rb", closefd=False) as pipe:
+                    data = pipe.read()
+                if _holding_interrupts(_reap, children, False, part) == 0:
+                    try:
+                        rows = marshal.loads(data)
+                    except (EOFError, ValueError, TypeError):
+                        pass
+            results.append(share(part) if rows is None else rows)
+        return results
+    finally:
+        _holding_interrupts(_reap, children, True)
+
+
 def bilinear_combinations(pairs, outputs):
     """Reduced integer vectors (v_j, d_j) of the sums
     sum_i w_ij (s_ij a_i) * b_i, truncated to the common order.
@@ -502,6 +674,11 @@ def bilinear_combinations(pairs, outputs):
     in one constant E_j per output. Output coefficient m is reduced by one
     gcd against its own denominator E_j D_m, and the reduced coefficients
     of an output are put over their lcm at the end.
+
+    Since coefficient m needs nothing of the others, P processes share the
+    work (P from _worker_count): process k forms the coefficients
+    m = k mod P, the children regenerating the lifts from the series they
+    inherit, and this process merges the rows.
     """
     dens = [[int(w.denominator) * sd for w, (_, sd) in row] for row in outputs]
     consts = [lcm(*row) for row in dens]
@@ -511,23 +688,13 @@ def bilinear_combinations(pairs, outputs):
     ]
     scales = [[s for _, (s, _) in row] for row in outputs]
     length = min(len(s.coeffs) for pair in pairs for s in pair)
-    lifts = [zip(_graded_lifts(a, length), _graded_lifts(b, length)) for a, b in pairs]
-    coeffs = [[] for _ in outputs]
-    for state in zip(*lifts):
-        pair_dens = [la * lb for (_, la), (_, lb) in state]
-        d_m = lcm(*pair_dens)
-        sums = [0] * len(outputs)
-        for i, (((a, _), (b, _)), pd) in enumerate(zip(state, pair_dens)):
-            terms = list(map(mul, a, reversed(b)))
-            c = d_m // pd
-            for j, (srow, frow) in enumerate(zip(scales, factors)):
-                sums[j] += frow[i] * c * sum(map(mul, terms, srow[i]))
-        for out, acc, e in zip(coeffs, sums, consts):
-            den = e * d_m
-            g = gcd(acc, den)
-            out.append((acc // g, den // g))
+    parts = _worker_count(pairs, outputs, length)
+    shares = _run_shares(
+        lambda part: _share(pairs, scales, factors, consts, length, part, parts), parts
+    )
     result = []
-    for out in coeffs:
+    for j in range(len(outputs)):
+        out = [shares[m % parts][j][m // parts] for m in range(length)]
         d = lcm(*(e for _, e in out))
         result.append(([x * (d // e) for x, e in out], d))
     return result
@@ -546,12 +713,14 @@ def integer_scale_arg(v, d, c):
     return [x * a * b for x, a, b in zip(v, ups, reversed(wps))], d * wps[-1]
 
 
-def integer_matches_ratfunc(v, d, f):
-    """True when v/d equals the expansion of f through z^(len(v)-1).
+def integer_first_mismatch(v, d, f):
+    """The first n at which v/d differs from the expansion of f, or None
+    when they agree through z^(len(v)-1).
 
     Checked as den(f) v - num(f) d = 0 through that order, over the
-    integers; since den(f)(0) != 0 this is the same as comparing with
-    series_of_ratfunc(f, len(v)-1).
+    integers; since den(f)(0) != 0, coefficient n of that difference is the
+    first nonzero one exactly when coefficient n of v/d is the first to
+    differ from series_of_ratfunc(f, len(v)-1).
     """
     if f.den.coefficient(0) == 0:
         raise PoleAtOrigin("rational function has a pole at z = 0")
@@ -562,8 +731,8 @@ def integer_matches_ratfunc(v, d, f):
     for n in range(len(v)):
         acc = sum(map(mul, den[: n + 1], v[n::-1]))
         if acc != (num[n] * d if n < len(num) else 0):
-            return False
-    return True
+            return n
+    return None
 
 
 def series_of_integer_vector(v, d):

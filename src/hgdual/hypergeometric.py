@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import lcm, prod
-from operator import add
+from math import lcm
 
 from .exact_algebra import (
     Polynomial,
@@ -170,24 +169,39 @@ def term_ratio_series(upper, lower, N, factor):
     """Series sum_n c_n z^n through z^N with c_0 = 1 and
     c_{n+1} = c_n prod factor(u, n) / prod factor(l, n), the one recurrence
     of both families: factor(x, n) is x + n resp. 1 - x q^n, and the
-    factorial is the last lower parameter, 1 resp. q. A lower factor that
+    factorial is the last lower parameter, 1 resp. q. factor takes x as
+    the integer pair (num(x), den(x)) and returns its value as an integer
+    pair too, so that each step forms one rational. A lower factor that
     vanishes at a step n < N raises DegenerateParameters."""
+    up = [(int(x.numerator), int(x.denominator)) for x in upper]
+    low = [(int(x.numerator), int(x.denominator)) for x in lower]
     coeffs = [Q(1)]
     for n in range(N):
-        den = prod((factor(l, n) for l in lower), start=Q(1))
+        num = den = 1
+        for x in up:
+            fn, fd = factor(x, n)
+            num, den = num * fn, den * fd
+        for x in low:
+            fn, fd = factor(x, n)
+            num, den = num * fd, den * fn
         if not den:
-            l = next(l for l in lower if factor(l, n) == 0)
+            l = next(l for l, x in zip(lower, low) if factor(x, n)[0] == 0)
             raise DegenerateParameters(
                 "lower parameter %s gives a zero factor at n = %d" % (l, n)
             )
         # one product of the tall c_n by a short ratio, not two
-        coeffs.append(coeffs[-1] * (prod(factor(u, n) for u in upper) / den))
+        coeffs.append(coeffs[-1] * Q(num, den))
     return TruncatedSeries(coeffs)
+
+
+def _rising(x, n):
+    """The theta-family factor x + n of x = (num, den), as an integer pair."""
+    return x[0] + n * x[1], x[1]
 
 
 def hypergeometric_body(upper, lower, N):
     """sum_n prod (u)_n / (prod (l)_n n!) z^n through z^N."""
-    return term_ratio_series([*map(rat, upper)], [*map(rat, lower), Q(1)], N, add)
+    return term_ratio_series([*map(rat, upper)], [*map(rat, lower), Q(1)], N, _rising)
 
 
 def solution_basis(p, N, which="primal"):
@@ -201,7 +215,7 @@ def solution_basis(p, N, which="primal"):
     entries = []
     for bi in p.b:
         upper = [x + 1 - bi for x in p.a]
-        body = term_ratio_series(upper, [x + 1 - bi for x in p.b], N, add)
+        body = term_ratio_series(upper, [x + 1 - bi for x in p.b], N, _rising)
         entries.append(TaggedSeries(THETA, 1 - bi, body))
     return SolutionBasis(tuple(entries))
 

@@ -194,9 +194,11 @@ def rescale_operator(op, c):
 
 
 def _shifted(q, N):
-    """The q-family factor x, n -> 1 - x q^n for n < N."""
-    powers = [q**n for n in range(N)]
-    return lambda x, n: 1 - x * powers[n]
+    """The q-family factor x, n -> 1 - x q^n for n < N, as the integer pair
+    (den(x) den(q)^n - num(x) num(q)^n, den(x) den(q)^n)."""
+    qn, qd = int(q.numerator), int(q.denominator)
+    nums, dens = [qn**n for n in range(N)], [qd**n for n in range(N)]
+    return lambda x, n: (x[1] * dens[n] - x[0] * nums[n], x[1] * dens[n])
 
 
 def q_hypergeometric_body(upper, lower, q, N):

@@ -18,7 +18,7 @@ from .exact_algebra import (
     Q,
     RationalFunction,
     TruncatedSeries,
-    integer_matches_ratfunc,
+    integer_first_mismatch,
     poly_lcm,
     rat,
     series_of_integer_vector,
@@ -512,6 +512,7 @@ class CellResult:
     passed: bool
     expected: object = None
     got_prefix: tuple = None
+    first_diff: int = None
 
     @property
     def label(self):
@@ -540,7 +541,8 @@ def check_cells(m, sums, structure_ok):
     A cell passes when v/d equals the expansion of m[k][l] through z^N,
     structure_ok(k, l, m[k][l]) holds (the family's zero pattern and closed
     forms), and m[k][l] = P/Q has deg P <= r and deg Q <= r. A failing
-    cell carries m[k][l] and the first 2r+2 coefficients of the sum.
+    cell carries m[k][l], the first 2r+2 coefficients of the sum and,
+    when the series differ, the index of the first coefficient that does.
 
     The degree bound is exactly what rational reconstruction of the sum
     with degrees (r, r) would certify, because the sum is already proved
@@ -559,8 +561,9 @@ def check_cells(m, sums, structure_ok):
         for l in range(r):
             v, d = sums[k][l]
             entry = m[k][l]
+            first_diff = integer_first_mismatch(v, d, entry)
             ok = (
-                integer_matches_ratfunc(v, d, entry)
+                first_diff is None
                 and structure_ok(k, l, entry)
                 and entry.num.degree <= r
                 and entry.den.degree <= r
@@ -573,6 +576,7 @@ def check_cells(m, sums, structure_ok):
                     got_prefix=None
                     if ok
                     else series_of_integer_vector(v[: 2 * r + 2], d).coeffs,
+                    first_diff=first_diff,
                 )
             )
     return VerificationReport(tuple(cells))

@@ -1,9 +1,15 @@
 """The bilinear sum tables that the verifiers use, against the direct r^3
 definition (bilinear_sum over the advance tables); the integer-vector
-kernel under them, against the TruncatedSeries operations; and the failure
-reports the verifiers give for a cell that does not match."""
+kernel under them, against the TruncatedSeries operations, split over
+forked workers as well as serial; and the failure reports the verifiers
+give for a cell that does not match."""
 
+import marshal
+import os
 import random
+import signal
+import threading
+import time
 from math import gcd
 
 import pytest
@@ -15,6 +21,7 @@ from hgdual.hypergeometric import DegenerateParameters
 from hgdual.hypergeometric import sample_params as sample_theta_params
 from hgdual.q_hypergeometric import sample_params as sample_qshift_params
 from hgdual.skew_operators import minimum_order
+import hgdual.exact_algebra as exact_algebra
 from hgdual.exact_algebra import (
     PoleAtOrigin,
     Polynomial,
@@ -23,7 +30,7 @@ from hgdual.exact_algebra import (
     TruncatedSeries,
     _graded_lifts,
     bilinear_combinations,
-    integer_matches_ratfunc,
+    integer_first_mismatch,
     integer_scale_arg,
     integer_vector,
     is_integer,
@@ -141,27 +148,240 @@ def test_all_zero_output():
 
 
 class TestIntegerMatchesRatfunc:
+    """integer_first_mismatch: None on a match, else the first index that
+    differs."""
+
     F = RationalFunction(
         Polynomial([1, Q(1, 3)]), Polynomial([1, Q(-1, 2), Q(1, 5)])
     )
 
     def test_expansion_matches(self):
         s = series_of_ratfunc(self.F, 12)
-        assert integer_matches_ratfunc(*integer_vector(s), self.F)
+        assert integer_first_mismatch(*integer_vector(s), self.F) is None
 
     @pytest.mark.parametrize("n", [0, 1, 6, 12])
     def test_any_wrong_coefficient_is_found(self, n):
         coeffs = list(series_of_ratfunc(self.F, 12).coeffs)
         coeffs[n] += Q(1, 7)
-        assert not integer_matches_ratfunc(*integer_vector(TruncatedSeries(coeffs)), self.F)
+        v, d = integer_vector(TruncatedSeries(coeffs))
+        assert integer_first_mismatch(v, d, self.F) == n
 
     def test_zero(self):
-        assert integer_matches_ratfunc([0] * 5, 1, RationalFunction.zero())
-        assert not integer_matches_ratfunc([0, 0, 1, 0], 3, RationalFunction.zero())
+        assert integer_first_mismatch([0] * 5, 1, RationalFunction.zero()) is None
+        assert integer_first_mismatch([0, 0, 1, 0], 3, RationalFunction.zero()) == 2
 
     def test_pole_at_origin_rejected(self):
         with pytest.raises(PoleAtOrigin):
-            integer_matches_ratfunc([1, 0, 0], 1, RationalFunction(1, Polynomial([0, 1])))
+            integer_first_mismatch(
+                [1, 0, 0], 1, RationalFunction(1, Polynomial([0, 1]))
+            )
+
+
+# The kernel split over forked workers. Each test pins the worker count
+# through the CPU affinity the kernel reads and the fork threshold.
+
+
+def _fork_counter(mp):
+    """Count the calls of os.fork from here on."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    mp.setattr(os, "fork", counted)
+    return calls
+
+
+def _split_over(mp, workers):
+    """Make every kernel call split over the given number of workers, above
+    MAX_KERNEL_WORKERS too: the cap is a timing policy, and the split is
+    exact for any count."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    mp.setattr(exact_algebra, "MAX_KERNEL_WORKERS", max(workers, 1))
+    mp.setattr(exact_algebra, "FORK_MIN_WORK", 0)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SPLIT_PAIRS = [
+    (
+        TruncatedSeries([Q(n + 1, 3 + n % 4) for n in range(9)]),
+        TruncatedSeries([Q(2 - n, 5 + 2 * (n % 3)) for n in range(9)]),
+    ),
+    (
+        TruncatedSeries([Q((-1) ** n, 7 + n) for n in range(9)]),
+        TruncatedSeries([Q(n * n + 1, 2 + n % 5) for n in range(9)]),
+    ),
+]
+SPLIT_OUTPUTS = [
+    [
+        (Q(1, 3), TruncatedSeries([n + 1 for n in range(9)])),
+        (Q(-2), TruncatedSeries([1] * 9)),
+    ],
+    [
+        (Q(5, 7), TruncatedSeries([Q(1, 2)] * 9)),
+        (Q(1), TruncatedSeries([n * n for n in range(9)])),
+    ],
+]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.lists(st.tuples(_kernel_series(7), _kernel_series(7)), min_size=1, max_size=3),
+    st.lists(st.lists(st.tuples(rationals, _kernel_series(7)), min_size=3, max_size=3),
+             min_size=1, max_size=3),
+)
+def test_split_equals_serial(pairs, outputs):
+    outputs = [row[: len(pairs)] for row in outputs]
+    serial = _combine(pairs, outputs)
+    for workers in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            _split_over(mp, workers)
+            forks = _fork_counter(mp)
+            assert _combine(pairs, outputs) == serial, workers
+            assert len(forks) == workers - 1
+    _assert_no_child_left()
+
+
+def test_split_without_fork(monkeypatch):
+    serial = _combine(SPLIT_PAIRS, SPLIT_OUTPUTS)
+    _split_over(monkeypatch, 2)
+
+    def refuse():
+        raise OSError("no process left")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    assert _combine(SPLIT_PAIRS, SPLIT_OUTPUTS) == serial
+
+
+def test_failed_child_share_is_recomputed(monkeypatch):
+    serial = _combine(SPLIT_PAIRS, SPLIT_OUTPUTS)
+    _split_over(monkeypatch, 3)
+    share = exact_algebra._share
+    parent = os.getpid()
+
+    def child_fails(*args):
+        part = args[-2]
+        if part != 0 and os.getpid() != parent:
+            raise RuntimeError("share %d fails in the child" % part)
+        return share(*args)
+
+    monkeypatch.setattr(exact_algebra, "_share", child_fails)
+    assert _combine(SPLIT_PAIRS, SPLIT_OUTPUTS) == serial
+    _assert_no_child_left()
+
+
+def test_undecodable_payload_is_recomputed(monkeypatch):
+    serial = _combine(SPLIT_PAIRS, SPLIT_OUTPUTS)
+    _split_over(monkeypatch, 2)
+    # only the children write payloads: each sends a truncated one
+    monkeypatch.setattr(
+        marshal, "dump", lambda value, pipe: pipe.write(marshal.dumps(value)[:-2])
+    )
+    assert _combine(SPLIT_PAIRS, SPLIT_OUTPUTS) == serial
+    _assert_no_child_left()
+
+
+def test_children_reaped_when_parent_share_raises(monkeypatch):
+    _split_over(monkeypatch, 3)
+    share = exact_algebra._share
+
+    def parent_fails(*args):
+        if args[-2] == 0:
+            raise KeyboardInterrupt
+        return share(*args)
+
+    monkeypatch.setattr(exact_algebra, "_share", parent_fails)
+    with pytest.raises(KeyboardInterrupt):
+        _combine(SPLIT_PAIRS, SPLIT_OUTPUTS)
+    _assert_no_child_left()
+
+
+class Fired(Exception):
+    """Raised by the test timer's SIGALRM handler."""
+
+
+def _fire(signum, frame):
+    raise Fired
+
+
+@pytest.fixture
+def alarm():
+    """A SIGALRM handler that raises Fired; the timer is off afterwards."""
+    old = signal.signal(signal.SIGALRM, _fire)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def test_interrupt_waits_for_the_held_step(alarm):
+    done = []
+
+    def step():
+        signal.setitimer(signal.ITIMER_REAL, 0.01)
+        time.sleep(0.1)
+        done.append(1)
+
+    with pytest.raises(Fired):
+        exact_algebra._holding_interrupts(step)
+    assert done == [1]
+    assert signal.SIGALRM not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+
+
+def test_timer_interrupt_leaves_no_child_nor_pipe(alarm):
+    """A timer exception raised at any point of a split call (here at delays
+    from 0.2 to 8 ms) leaves no child unreaped and no pipe open."""
+    fds = len(os.listdir("/proc/self/fd"))
+    serial = _combine(SPLIT_PAIRS, SPLIT_OUTPUTS)
+    with pytest.MonkeyPatch.context() as mp:
+        _split_over(mp, 3)
+        for delay in range(1, 41):
+            got = None
+            signal.setitimer(signal.ITIMER_REAL, delay / 5000)
+            try:
+                got = _combine(SPLIT_PAIRS, SPLIT_OUTPUTS)
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            except Fired:
+                pass
+            assert got in (None, serial)
+            _assert_no_child_left()
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_serial_on_one_cpu(monkeypatch):
+    _split_over(monkeypatch, 1)
+    forks = _fork_counter(monkeypatch)
+    _combine(SPLIT_PAIRS, SPLIT_OUTPUTS)
+    assert forks == []
+
+
+def test_serial_with_another_thread(monkeypatch):
+    serial = _combine(SPLIT_PAIRS, SPLIT_OUTPUTS)
+    _split_over(monkeypatch, 2)
+    forks = _fork_counter(monkeypatch)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(10,))
+    waiter.start()
+    try:
+        assert _combine(SPLIT_PAIRS, SPLIT_OUTPUTS) == serial
+    finally:
+        release.set()
+        waiter.join(10)
+    assert not waiter.is_alive()
+    assert forks == []
+
+
+def test_serial_below_the_work_threshold(monkeypatch):
+    _split_over(monkeypatch, 2)
+    monkeypatch.setattr(exact_algebra, "FORK_MIN_WORK", 10**30)
+    forks = _fork_counter(monkeypatch)
+    _combine(SPLIT_PAIRS, SPLIT_OUTPUTS)
+    assert forks == []
 
 
 def _advance_table(entries, count):
@@ -278,15 +498,15 @@ def test_qshift_shift_toeplitz(q, ab):
 
 
 def _perturb(monkeypatch, module, name, cell):
-    """Replace module.name by a version whose matrix has cell + 1; returns
-    a dict that receives the perturbed entry."""
+    """Replace module.name by a version whose matrix has z^(k+l) added to
+    cell (k, l); returns a dict that receives the perturbed entry."""
     original = getattr(module, name)
     seen = {}
 
     def perturbed(p):
         m = original(p)
         k, l = cell
-        m[k][l] = m[k][l] + RationalFunction.one()
+        m[k][l] = m[k][l] + RationalFunction(Polynomial([0] * (k + l) + [1]))
         seen["entry"] = m[k][l]
         return m
 
@@ -300,7 +520,15 @@ def _assert_single_failure(report, cell, expected, direct, r):
     assert failure.expected == expected
     assert failure.got_prefix == direct.coeffs[: 2 * r + 2]
     assert all(isinstance(c, Q) for c in failure.got_prefix)
-    assert all(c.expected is None and c.got_prefix is None for c in report.cells if c.passed)
+    expansion = series_of_ratfunc(expected, direct.order).coeffs
+    assert failure.first_diff == next(
+        n for n, (x, y) in enumerate(zip(direct.coeffs, expansion)) if x != y
+    )
+    assert all(
+        c.expected is None and c.got_prefix is None and c.first_diff is None
+        for c in report.cells
+        if c.passed
+    )
 
 
 @pytest.mark.parametrize("cell", [(1, 2), (0, 0)])

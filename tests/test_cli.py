@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import hgdual
 import hgdual.hypergeometric as hg
 import hgdual.q_hypergeometric as qhg
 from hgdual.cli import (
@@ -19,7 +20,14 @@ from hgdual.cli import (
     complete_args,
     main,
 )
-from hgdual.exact_algebra import Polynomial, Q, RationalFunction, rat
+from hgdual.exact_algebra import (
+    MAX_KERNEL_WORKERS,
+    Polynomial,
+    Q,
+    RationalFunction,
+    kernel_workers,
+    rat,
+)
 
 
 def run(capsys, *argv):
@@ -323,6 +331,44 @@ class TestVerify:
         for cell in doc["results"]:
             assert cell["pass"] is True
             assert sorted(cell["cell"]) == cell["cell"] or len(cell["cell"]) == 2
+
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_failing_cell_names_first_difference(self, capsys, monkeypatch, fmt):
+        # z^3 added to cell (0, 1) of M: its series first differs at z^3
+        original = hg.duality_matrix
+
+        def perturbed(p):
+            m = original(p)
+            m[0][1] = m[0][1] + RationalFunction(Polynomial([0, 0, 0, 1]))
+            return m
+
+        monkeypatch.setattr(hg, "duality_matrix", perturbed)
+        code, out, _ = run(
+            capsys, "verify", "--hg", "--a", "1/2,1/3", "--b", "1/5", "--format", fmt
+        )
+        assert code == EXIT_MISMATCH
+        if fmt == "json":
+            cells = {tuple(c["cell"]): c for c in json.loads(out)["results"]}
+            assert cells[0, 1]["first_diff"] == 3
+            assert all("first_diff" not in c for c in cells.values() if c["pass"])
+        else:
+            assert "  cell (0,1): FAIL\n    first difference at z^3\n" in out
+            assert out.count("first difference") == 1
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out == "hgdual %s, backend %s, kernel workers %d\n" % (
+        hgdual.__version__,
+        Q.__module__,
+        kernel_workers(),
+    )
+    assert Q.__module__ in ("fractions", "gmpy2")
+    assert 1 <= kernel_workers() <= MAX_KERNEL_WORKERS
 
 
 class TestDeterminism:
