@@ -329,21 +329,18 @@ class TruncatedSeries:
     """Power series known exactly through z^order.
 
     coeffs has length order+1. Binary operations return the minimum of the
-    two operand orders; there is no silent padding.
+    two operand orders; there is no silent padding. The commands form their
+    series products in bilinear_combinations; this Fraction arithmetic is
+    the direct definition the tests compare it with.
     """
 
     __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs, order=None):
-        cs = [rat(c) for c in coeffs]
-        if order is None:
-            order = len(cs) - 1
-        if order < 0:
+    def __init__(self, coeffs):
+        self.coeffs = tuple(rat(c) for c in coeffs)
+        self.order = len(self.coeffs) - 1
+        if self.order < 0:
             raise ValueError("series order must be non-negative")
-        if len(cs) < order + 1:
-            cs.extend([_QZERO] * (order + 1 - len(cs)))
-        self.coeffs = tuple(cs[: order + 1])
-        self.order = order
 
     @staticmethod
     def zero(order):

@@ -368,21 +368,25 @@ def closed_form_m_r3(p):
 
 
 def verify_euler_identity(a1, a2, b1, N):
-    """Two classical order-2 checks at the given parameters: the quadratic
-    transformation F(a,b;c;z) = (1-z)^{c-a-b} F(c-a,c-b;c;z), and the
-    four-product identity equivalent to the (0,0) cell of the bilinear sum."""
+    """Two classical order-2 checks at the given parameters, both on the
+    kernel verify uses: the quadratic transformation
+    F(a,b;c;z) = (1-z)^{c-a-b} F(c-a,c-b;c;z), as the vanishing of
+    prefactor * right - left, and the four-product identity
+    f_1 g_1 = f_0 g_0, which is the (0,0) cell of the bilinear sum table
+    (at r = 2 the weights are w_1 = -w_0)."""
     a1, a2, b1 = rat(a1), rat(a2), rat(b1)
-    p = HGParams.make([a1, a2], [b1])
     left = hypergeometric_body([a1, a2], [b1], N)
     right = hypergeometric_body([b1 - a1, b1 - a2], [b1], N)
     prefactor = hypergeometric_body([a1 + a2 - b1], [], N)  # (1-z)^{c-a-b}
-    transform_ok = left == prefactor * right
-    primal = solution_basis(p, N, "primal").entries
-    dual = solution_basis(p, N, "dual").entries
-    product_ok = primal[1].body * dual[1].body == primal[0].body * dual[0].body
+    ones = ([1] * (N + 1), 1)
+    [(transform, _)] = bilinear_combinations(
+        [(prefactor, right), (left, TruncatedSeries.one(N))],
+        [[(1, ones), (-1, ones)]],
+    )
+    product, _ = bilinear_sum_table(HGParams.make([a1, a2], [b1]), N)[0][0]
     cells = (
-        CellResult((0, 0), transform_ok),
-        CellResult((0, 1), product_ok),
+        CellResult((0, 0), not any(transform)),
+        CellResult((0, 1), not any(product)),
     )
     return VerificationReport(cells)
 

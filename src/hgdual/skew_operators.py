@@ -229,14 +229,10 @@ def dual_operator(op):
     return SkewOperator(THETA, total)
 
 
-def _shift_coeff(a, q, k):
-    """Delta^k on a coefficient: substitute z -> q^k z (k may be negative)."""
-    return a.scale_arg(q**k)
-
-
 def q_dual_operator(op):
     """Dual of a QShift operator:
-    L* = Delta^{r-1}(A_0) Delta^r + ... + A_{r-1} Delta + Delta^{-1}(A_r).
+    L* = Delta^{r-1}(A_0) Delta^r + ... + A_{r-1} Delta + Delta^{-1}(A_r),
+    where Delta^k on a coefficient substitutes z -> q^k z.
     """
     if op.mode != QSHIFT:
         raise ValueError("q_dual_operator expects a QShift operator")
@@ -244,9 +240,9 @@ def q_dual_operator(op):
     if op.coefficient(0).is_zero:
         raise DegenerateOperator("A_0 = 0")
     q = op.q
-    coeffs = [_shift_coeff(op.coefficient(r), q, -1)]
+    coeffs = [op.coefficient(r).scale_arg(q**-1)]
     for k in range(1, r + 1):
-        coeffs.append(_shift_coeff(op.coefficient(r - k), q, k - 1))
+        coeffs.append(op.coefficient(r - k).scale_arg(q ** (k - 1)))
     return SkewOperator(QSHIFT, coeffs, q)
 
 
@@ -289,10 +285,10 @@ def psi_q_matrix(op):
         raise DegenerateOperator("A_0 = 0")
     q = op.q
     mat = [[_RF_ZERO] * r for _ in range(r)]
-    mat[0][r - 1] = -_shift_coeff(op.coefficient(r), q, -1)
+    mat[0][r - 1] = -op.coefficient(r).scale_arg(q**-1)
     for k in range(1, r):
         for j in range(r - k):
-            mat[k][k - 1 + j] = _shift_coeff(op.coefficient(j), q, k - 1)
+            mat[k][k - 1 + j] = op.coefficient(j).scale_arg(q ** (k - 1))
     return mat
 
 

@@ -1,8 +1,9 @@
 """The bilinear sum tables that the verifiers use, against the direct r^3
 definition (bilinear_sum over the advance tables); the integer-vector
 kernel under them, against the TruncatedSeries operations, split over
-forked workers as well as serial; and the failure reports the verifiers
-give for a cell that does not match."""
+forked workers as well as serial; the failure reports the verifiers give
+for a cell that does not match; and the r = 2 product identities that
+paper-regression certifies on the tables."""
 
 import marshal
 import os
@@ -20,7 +21,7 @@ import hgdual.q_hypergeometric as qhg
 from hgdual.hypergeometric import DegenerateParameters
 from hgdual.hypergeometric import sample_params as sample_theta_params
 from hgdual.q_hypergeometric import sample_params as sample_qshift_params
-from hgdual.skew_operators import minimum_order
+from hgdual.skew_operators import SolutionBasis, TaggedSeries, minimum_order
 import hgdual.exact_algebra as exact_algebra
 from hgdual.exact_algebra import (
     PoleAtOrigin,
@@ -549,3 +550,103 @@ def test_qshift_failure_report(monkeypatch, cell):
     seen = _perturb(monkeypatch, qhg, "duality_matrix", cell)
     report = qhg.verify_theorem2(p, N)
     _assert_single_failure(report, cell, seen["entry"], direct[cell[0]][cell[1]], r)
+
+
+# The product identities of paper-regression at r = 2: f_1 g_1 = f_0 g_0 is
+# the (0,0) cell of the sum table. Each entry: the family module, the name
+# of its basis function, the arguments Params.make takes before a and b,
+# the identity as (p, N) -> report, and the cell that reports the products.
+PRODUCT_IDENTITIES = {
+    "euler": (
+        hg,
+        "solution_basis",
+        (),
+        lambda p, N: hg.verify_euler_identity(*p.a, p.b[0], N),
+        (0, 1),
+    ),
+    "heine": (
+        qhg,
+        "q_solution_basis",
+        (Q(2, 3),),
+        lambda p, N: qhg.verify_heine_identity(*p.a, p.b[0], p.q, N),
+        (0, 0),
+    ),
+}
+
+
+def _four_products(basis, p, N):
+    """The product identity in Fraction series arithmetic: the oracle of
+    the (0,0) cell."""
+    f = basis(p, N, "primal").entries
+    g = basis(p, N, "dual").entries
+    return f[1].body * g[1].body == f[0].body * g[0].body
+
+
+def _perturb_basis(mp, module, name, change):
+    """Replace module.name by a basis function that adds delta to
+    coefficient n of body i of the basis `which`, change = (which, i, n,
+    delta)."""
+    which, i, n, delta = change
+    original = getattr(module, name)
+
+    def perturbed(p, N, kind="primal"):
+        basis = original(p, N, kind)
+        if kind != which:
+            return basis
+        entries = list(basis.entries)
+        e = entries[i]
+        body = list(e.body.coeffs)
+        body[n] += delta
+        entries[i] = TaggedSeries(e.mode, e.offset, TruncatedSeries(body), e.q)
+        return SolutionBasis(tuple(entries))
+
+    mp.setattr(module, name, perturbed)
+
+
+basis_change = st.tuples(
+    st.sampled_from(["primal", "dual"]),
+    st.integers(0, 1),
+    st.integers(0, minimum_order(2)),
+    st.integers(-3, 3).filter(bool),
+)
+
+
+@pytest.mark.parametrize("identity", sorted(PRODUCT_IDENTITIES))
+@settings(max_examples=10, deadline=None)
+@given(
+    upper=st.lists(parameter, min_size=2, max_size=2),
+    b1=parameter,
+    change=st.none() | basis_change,
+)
+def test_product_cell_is_the_four_product_formula(identity, upper, b1, change):
+    module, name, base, check, cell = PRODUCT_IDENTITIES[identity]
+    p = _generic(module.Params.make, *base, upper, [b1])
+    N = minimum_order(2)
+    with pytest.MonkeyPatch.context() as mp:
+        if change is not None:
+            _perturb_basis(mp, module, name, change)
+        verdicts = {c.cell: c.passed for c in check(p, N).cells}
+        assert verdicts[cell] == _four_products(getattr(module, name), p, N)
+
+
+@pytest.mark.parametrize("identity", sorted(PRODUCT_IDENTITIES))
+def test_perturbed_basis_fails_the_product_cell_only(monkeypatch, identity):
+    module, name, base, check, cell = PRODUCT_IDENTITIES[identity]
+    p = module.Params.make(*base, [Q(1, 2), Q(1, 3)], [Q(1, 5)])
+    _perturb_basis(monkeypatch, module, name, ("dual", 1, 7, Q(1)))
+    assert [c.cell for c in check(p, 20).failures] == [cell]
+
+
+def test_perturbed_prefactor_fails_the_transformation_cell_only(monkeypatch):
+    original = hg.hypergeometric_body
+
+    def perturbed(upper, lower, N):
+        """(1-z)^(c-a-b), the one body without lower parameters, gains z^5."""
+        body = original(upper, lower, N)
+        if lower:
+            return body
+        return body + TruncatedSeries([0] * 5 + [1] + [0] * (N - 5))
+
+    monkeypatch.setattr(hg, "hypergeometric_body", perturbed)
+    report = hg.verify_euler_identity(Q(1, 2), Q(1, 3), Q(1, 5), 20)
+    assert [c.cell for c in report.failures] == [(0, 0)]

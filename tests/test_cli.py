@@ -25,6 +25,7 @@ from hgdual.exact_algebra import (
     Polynomial,
     Q,
     RationalFunction,
+    TruncatedSeries,
     kernel_workers,
     rat,
 )
@@ -487,6 +488,28 @@ def test_pinned_stdout(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
     assert code == EXIT_PASS
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Every series product a command forms runs in the integer kernel
+# (exact_algebra.bilinear_combinations); the Fraction product of
+# TruncatedSeries is the tests' direct definition only.
+KERNEL_ONLY = (
+    "paper-regression --format text",
+    "paper-regression --format json",
+    "verify --hg -r 3 --seed 1 --format text",
+    "verify --qhg --q 2/3 -r 3 --seed 1 --format text",
+)
+
+
+@pytest.mark.parametrize("argv", KERNEL_ONLY)
+def test_commands_multiply_no_truncated_series(capsys, monkeypatch, argv):
+    def refuse(self, other):
+        raise AssertionError("TruncatedSeries product on a command path")
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", refuse)
+    code, out, _ = run(capsys, *argv.split())
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.encode()).hexdigest() == dict(PINNED_STDOUT)[argv]
 
 
 # The names skew_operators.verify_duality and the command line read from a
