@@ -12,7 +12,7 @@ from operator import mul
 
 try:
     from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # pragma: no cover - gmpy2 is the optional extra "gmpy"
     from fractions import Fraction as Q
 
 __all__ = [
@@ -85,10 +85,6 @@ class Polynomial:
     def one():
         return Polynomial((1,))
 
-    @staticmethod
-    def z():
-        return Polynomial((0, 1))
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -152,8 +148,9 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self):
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+    def theta(self):
+        """z * d/dz: the coefficient of z^n multiplies by n."""
+        return Polynomial([i * c for i, c in enumerate(self.coeffs)])
 
     def scale_arg(self, c):
         """p(c*z): multiply the n-th coefficient by c^n."""
@@ -221,8 +218,13 @@ def poly_gcd(p, q):
 
 
 def poly_lcm(p, q):
+    """Monic lcm; one division and no Euclid when one divides the other."""
     if p.is_zero or q.is_zero:
         return Polynomial(())
+    if p.degree < q.degree:
+        p, q = q, p
+    if p.divmod(q)[1].is_zero:
+        return p.monic()
     return (p * q).divexact(poly_gcd(p, q)).monic()
 
 
@@ -243,7 +245,8 @@ class RationalFunction:
         if num.is_zero:
             self.num, self.den = Polynomial(()), Polynomial.one()
             return
-        g = poly_gcd(num, den)
+        # a constant denominator is a unit and shares no factor with num
+        g = poly_gcd(num, den) if den.degree > 0 else den
         if g.degree > 0:
             num, den = num.divexact(g), den.divexact(g)
         lead = den.leading_coefficient
@@ -298,22 +301,12 @@ class RationalFunction:
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def evaluate(self, x):
-        d = self.den.evaluate(x)
-        if d == 0:
-            raise ZeroDivisionError("evaluation at a pole")
-        return self.num.evaluate(x) / d
-
-    def derivative(self):
+    def theta(self):
+        """z * d/dz, the Euler derivation: (theta(n) d - n theta(d)) / d^2."""
         return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
+            self.num.theta() * self.den - self.num * self.den.theta(),
             self.den * self.den,
         )
-
-    def theta(self):
-        """z * d/dz, the Euler derivation, computed exactly."""
-        d = self.derivative()
-        return RationalFunction(Polynomial.z() * d.num, d.den)
 
     def scale_arg(self, c):
         """Substitute z -> c*z and re-normalize."""
@@ -524,14 +517,24 @@ def _worker_count(pairs, outputs, length):
     return workers if work >= FORK_MIN_WORK else 1
 
 
+def _share_indices(length, part, parts):
+    """The output coefficients of share part, ascending. Their cost grows
+    steeply with m, so m goes with length - 1 - m, and these pairs are dealt
+    to the shares back and forth: 0, 1, ..., parts - 1, parts - 1, ..., 0."""
+    turn = (part, 2 * parts - 1 - part)
+    ends = [m for m in range((length + 1) // 2) if m % (2 * parts) in turn]
+    return sorted({k for m in ends for k in (m, length - 1 - m)})
+
+
 def _share(pairs, scales, factors, consts, length, part, parts):
-    """Output coefficients m = part, part + parts, ... < length of every
+    """Output coefficients _share_indices(length, part, parts) of every
     output of bilinear_combinations, each reduced by its own gcd: one row
     of (numerator, denominator) pairs per output."""
     lifts = [zip(_graded_lifts(a, length), _graded_lifts(b, length)) for a, b in pairs]
     rows = [[] for _ in consts]
+    mine = set(_share_indices(length, part, parts))
     for m, state in enumerate(zip(*lifts)):
-        if m % parts != part:
+        if m not in mine:
             continue
         pair_dens = [la * lb for (_, la), (_, lb) in state]
         d_m = lcm(*pair_dens)
@@ -674,8 +677,8 @@ def bilinear_combinations(pairs, outputs):
 
     Since coefficient m needs nothing of the others, P processes share the
     work (P from _worker_count): process k forms the coefficients
-    m = k mod P, the children regenerating the lifts from the series they
-    inherit, and this process merges the rows.
+    _share_indices(length, k, P), the children regenerating the lifts from
+    the series they inherit, and this process merges the rows.
     """
     dens = [[int(w.denominator) * sd for w, (_, sd) in row] for row in outputs]
     consts = [lcm(*row) for row in dens]
@@ -689,9 +692,11 @@ def bilinear_combinations(pairs, outputs):
     shares = _run_shares(
         lambda part: _share(pairs, scales, factors, consts, length, part, parts), parts
     )
+    order = [m for part in range(parts) for m in _share_indices(length, part, parts)]
     result = []
     for j in range(len(outputs)):
-        out = [shares[m % parts][j][m // parts] for m in range(length)]
+        found = dict(zip(order, (x for rows in shares for x in rows[j])))
+        out = [found[m] for m in range(length)]
         d = lcm(*(e for _, e in out))
         result.append(([x * (d // e) for x, e in out], d))
     return result

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import comb
+from operator import mul
 
 from .exact_algebra import (
     Polynomial,
@@ -246,6 +247,15 @@ def q_dual_operator(op):
     return SkewOperator(QSHIFT, coeffs, q)
 
 
+def _polynomial_form(op):
+    """(coefficients, wrap): the numerators and RationalFunction when all
+    coefficients of op are polynomials, so that the entries of a pairing
+    matrix take no gcd until wrapped; else the coefficients, unwrapped."""
+    if all(c.den.degree == 0 for c in op.coeffs):
+        return [c.num for c in op.coeffs], RationalFunction
+    return list(op.coeffs), lambda e: e
+
+
 def _theta_power(a, l):
     for _ in range(l):
         a = a.theta()
@@ -260,17 +270,15 @@ def psi_matrix(op):
     if op.mode != THETA:
         raise ValueError("psi_matrix expects a Theta operator")
     r = op.order
+    a, wrap = _polynomial_form(op)
     mat = [[_RF_ZERO] * r for _ in range(r)]
     for i in range(r):
         for j in range(r - i):
-            acc = _RF_ZERO
-            for l in range(r - i - j):
-                term = _theta_power(op.coefficient(i + j + l + 1), l)
-                term = term * RationalFunction.constant(Q(comb(l + i, i)))
-                acc = acc + term if l % 2 == 0 else acc - term
-            if i % 2 == 1:
-                acc = -acc
-            mat[i][j] = acc
+            terms = [
+                _theta_power(a[i + j + l + 1], l) * ((-1) ** (i + l) * comb(l + i, i))
+                for l in range(r - i - j)
+            ]
+            mat[i][j] = wrap(sum(terms[1:], terms[0]))
     return mat
 
 
@@ -284,11 +292,12 @@ def psi_q_matrix(op):
     if op.coefficient(0).is_zero:
         raise DegenerateOperator("A_0 = 0")
     q = op.q
+    a, wrap = _polynomial_form(op)
     mat = [[_RF_ZERO] * r for _ in range(r)]
-    mat[0][r - 1] = -op.coefficient(r).scale_arg(q**-1)
+    mat[0][r - 1] = wrap(-a[r].scale_arg(q**-1))
     for k in range(1, r):
         for j in range(r - k):
-            mat[k][k - 1 + j] = op.coefficient(j).scale_arg(q ** (k - 1))
+            mat[k][k - 1 + j] = wrap(a[j].scale_arg(q ** (k - 1)))
     return mat
 
 
@@ -359,14 +368,17 @@ def wronskian_det(rows):
             total = total * s.offset
     det = TruncatedSeries.zero(n)
     for perm in permutations(range(r)):
-        inversions = sum(
-            1 for x in range(r) for y in range(x + 1, r) if perm[x] > perm[y]
-        )
         term = TruncatedSeries.one(n)
         for k in range(r):
             term = term * mat[k][perm[k]].body
-        det = det + (term if inversions % 2 == 0 else -term)
+        det = det + (-term if _odd(perm) else term)
     return TaggedSeries(first.mode, total, det, first.q)
+
+
+def _odd(perm):
+    """True when the permutation perm has an odd number of inversions."""
+    n = len(perm)
+    return sum(perm[x] > perm[y] for x in range(n) for y in range(x + 1, n)) % 2 == 1
 
 
 def _cleared(mat):
@@ -376,18 +388,31 @@ def _cleared(mat):
     for row in mat:
         for e in row:
             den = poly_lcm(den, e.den)
-    return [[e.num * den.divexact(e.den) for e in row] for row in mat], den
+    # no division where the denominator is den already, as in Psi
+    return [
+        [e.num if e.den == den else e.num * den.divexact(e.den) for e in row]
+        for row in mat
+    ], den
 
 
 def matrix_det(mat):
     """Exact determinant of a square RationalFunction matrix.
 
-    Fraction-free (Bareiss) elimination of C = den * mat below the pivots:
+    In a triangular order (_triangular_order), as Psi of either family has,
+    it is the signed product of the pivots. Otherwise, fraction-free
+    (Bareiss) elimination of C = den * mat below the pivots:
     each step divides by the previous pivot, and every entry stays a minor
     of C, so the divisions are exact and the last pivot is det C up to the
     sign of the row swaps. Only the columns past each pivot are updated:
     the ones up to it are never read again.
     """
+    order = _triangular_order(mat)
+    if order is not None:
+        rows, cols = order
+        num, den = Polynomial.one(), Polynomial.one()
+        for i, j in zip(rows, cols):
+            num, den = num * mat[i][j].num, den * mat[i][j].den
+        return RationalFunction(-num if _odd(rows) != _odd(cols) else num, den)
     m, den = _cleared(mat)
     n = len(m)
     sign = 1
@@ -482,15 +507,14 @@ def matrix_invert(mat):
 
 
 def matrix_mul(a, b):
-    n, m, p = len(a), len(b[0]), len(b)
-    out = [[_RF_ZERO] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = _RF_ZERO
-            for k in range(p):
-                acc = acc + a[i][k] * b[k][j]
-            out[i][j] = acc
-    return out
+    """The product a b of RationalFunction matrices: the polynomial
+    matrices C_a = den_a a and C_b = den_b b (_cleared) are multiplied, and
+    entry (i, j) is normalised once, as (C_a C_b)_ij / (den_a den_b)."""
+    ca, den_a = _cleared(a)
+    cb, den_b = _cleared(b)
+    den = den_a * den_b
+    cols, zero = list(zip(*cb)), Polynomial.zero()
+    return [[RationalFunction(sum(map(mul, r, c), zero), den) for c in cols] for r in ca]
 
 
 def matrix_identity(n):

@@ -249,6 +249,39 @@ def test_split_equals_serial(pairs, outputs):
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
+def test_shares_form_each_coefficient_once(parts):
+    """The shares partition the coefficients, each keeps m with
+    length - 1 - m, and _share forms exactly the coefficients of its
+    share."""
+    for length in range(1, 42):
+        shares = [exact_algebra._share_indices(length, k, parts) for k in range(parts)]
+        assert sorted(m for share in shares for m in share) == list(range(length))
+        for share in shares:
+            assert share == sorted(share)
+            assert all(length - 1 - m in share for m in share)
+    pairs = [tuple(TruncatedSeries(s.coeffs[:7]) for s in pair) for pair in SPLIT_PAIRS]
+    ones = [1] * 7
+    for k in range(parts):
+        rows = exact_algebra._share(pairs, [[ones, ones]], [[1, 1]], [1], 7, k, parts)
+        assert len(rows[0]) == len(exact_algebra._share_indices(7, k, parts))
+
+
+@pytest.mark.parametrize("length", [6, 7, 8, 9])
+def test_two_shares_equal_serial(monkeypatch, length):
+    """The kernel split in two, at even and odd lengths."""
+    pairs = [tuple(TruncatedSeries(s.coeffs[:length]) for s in pair) for pair in SPLIT_PAIRS]
+    outputs = [
+        [(w, TruncatedSeries(s.coeffs[:length])) for w, s in row] for row in SPLIT_OUTPUTS
+    ]
+    serial = _combine(pairs, outputs)
+    _split_over(monkeypatch, 2)
+    forks = _fork_counter(monkeypatch)
+    assert _combine(pairs, outputs) == serial
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
 def test_split_without_fork(monkeypatch):
     serial = _combine(SPLIT_PAIRS, SPLIT_OUTPUTS)
     _split_over(monkeypatch, 2)

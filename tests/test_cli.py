@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import hgdual
+import hgdual.cli
 import hgdual.hypergeometric as hg
 import hgdual.q_hypergeometric as qhg
 from hgdual.cli import (
@@ -437,6 +438,51 @@ class TestMatrix:
             )
             assert code == EXIT_PASS
             assert "check det: pass" in out
+
+
+FAMILY_ARGS = [(hg, ("--hg",)), (qhg, ("--qhg", "--q", "2/3"))]
+
+
+class TestMatrixChecks:
+    """psi --check and matrix --check take the fast paths, and a wrong
+    matrix or a wrong closed form still fails them."""
+
+    def test_psi_check_takes_no_rational_theta(self, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("RationalFunction.theta on the psi path")
+
+        monkeypatch.setattr(RationalFunction, "theta", refuse)
+        code, out, _ = run(capsys, "psi", "--hg", "-r", "5", "--check")
+        assert code == EXIT_PASS
+        assert "check det: pass" in out
+
+    @pytest.mark.parametrize("family, args", FAMILY_ARGS, ids=["theta", "q"])
+    def test_wrong_closed_form_fails(self, capsys, monkeypatch, family, args):
+        def lead_power(op):
+            # A_r^(r-1): one factor short in theta, wrong in q
+            acc = RationalFunction.one()
+            for _ in range(op.order - 1):
+                acc = acc * op.coefficient(op.order)
+            return acc
+
+        monkeypatch.setattr(family, "psi_det", lead_power)
+        code, out, _ = run(capsys, "psi", *args, "-r", "4", "--check")
+        assert code == EXIT_MISMATCH
+        assert "check det: FAIL" in out
+
+    @pytest.mark.parametrize("args", [a for _, a in FAMILY_ARGS], ids=["theta", "q"])
+    def test_perturbed_inverse_fails(self, capsys, monkeypatch, args):
+        invert = hgdual.cli.matrix_invert
+
+        def perturbed(mat):
+            out = invert(mat)
+            out[1][0] = out[1][0] + RationalFunction(Polynomial([0, 1]))
+            return out
+
+        monkeypatch.setattr(hgdual.cli, "matrix_invert", perturbed)
+        code, out, _ = run(capsys, "matrix", *args, "-r", "4", "--check")
+        assert code == EXIT_MISMATCH
+        assert "check inverse: FAIL" in out
 
 
 class TestPaperRegression:

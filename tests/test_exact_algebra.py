@@ -13,6 +13,7 @@ from hgdual.exact_algebra import (
     ReconstructionFailed,
     TruncatedSeries,
     poly_gcd,
+    poly_lcm,
     rational_reconstruct,
     series_invert,
     series_of_ratfunc,
@@ -64,7 +65,8 @@ class TestPolynomial:
     def test_theta_via_derivative(self):
         # theta(z^n) = n z^n
         p = P(5, 0, 7)
-        assert Polynomial.z() * p.derivative() == P(0, 0, 14)
+        assert P(0, 1) * derivative(p) == P(0, 0, 14)
+        assert p.theta() == P(0, 0, 14)
 
 
 class TestPolyGcd:
@@ -80,6 +82,46 @@ class TestPolyGcd:
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError):
             poly_gcd(Polynomial.zero(), Polynomial.zero())
+
+
+_nonzero_polys = (
+    st.lists(st.integers(-6, 6), min_size=1, max_size=4)
+    .map(Polynomial)
+    .filter(lambda p: not p.is_zero)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_nonzero_polys, _nonzero_polys, st.booleans())
+def test_poly_lcm_is_product_over_gcd(p, q, multiple):
+    """poly_lcm against its definition, where one argument divides the
+    other (the shortcut) and where in general it does not (Euclid)."""
+    if multiple:
+        p = p * q
+    expect = (p * q).divexact(poly_gcd(p, q)).monic()
+    assert poly_lcm(p, q) == expect
+    assert poly_lcm(q, p) == expect
+
+
+def derivative(p):
+    return Polynomial([n * c for n, c in enumerate(p.coeffs)][1:])
+
+
+def theta_by_quotient_rule(f):
+    """theta(n / d) = z (n' d - n d') / d^2, normalised at each step."""
+    d = RationalFunction(
+        derivative(f.num) * f.den - f.num * derivative(f.den), f.den * f.den
+    )
+    return RationalFunction(P(0, 1) * d.num, d.den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_nonzero_polys, _nonzero_polys, _nonzero_polys)
+def test_rational_theta_is_the_quotient_rule(num, den, p):
+    f = RationalFunction(num, den)
+    assert f.theta() == theta_by_quotient_rule(f)
+    assert p.theta() == P(0, 1) * derivative(p)
+    assert RationalFunction(p).theta() == RationalFunction(p.theta())
 
 
 class TestRationalFunction:

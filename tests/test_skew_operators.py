@@ -1,6 +1,8 @@
 """Operator algebra tests: duals, pairing matrices, Wronskians, inversion."""
 
 import random
+from itertools import permutations
+from math import comb
 
 import pytest
 import sympy
@@ -9,6 +11,7 @@ from sympy.polys.matrices import DomainMatrix
 
 import hgdual.hypergeometric as hg
 import hgdual.q_hypergeometric as qhg
+import hgdual.skew_operators as skew_operators
 from hgdual.cli import MAX_R
 from hgdual.exact_algebra import (
     Polynomial,
@@ -267,6 +270,58 @@ class TestPsiQMatrix:
             assert det == expect
 
 
+def psi_by_rational_functions(op):
+    """The Theta pairing matrix as psi_matrix formed it before building on
+    polynomials: every term a RationalFunction, every theta and every sum
+    normalised by a gcd."""
+    r = op.order
+    mat = [[RationalFunction.zero()] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(r - i):
+            acc = RationalFunction.zero()
+            for l in range(r - i - j):
+                term = op.coefficient(i + j + l + 1)
+                for _ in range(l):
+                    term = term.theta()
+                term = term * RationalFunction.constant(Q(comb(l + i, i)))
+                acc = acc + term if l % 2 == 0 else acc - term
+            mat[i][j] = -acc if i % 2 else acc
+    return mat
+
+
+def psi_q_by_rational_functions(op):
+    """The QShift pairing matrix by RationalFunction.scale_arg."""
+    r, q = op.order, op.q
+    mat = [[RationalFunction.zero()] * r for _ in range(r)]
+    mat[0][r - 1] = -op.coefficient(r).scale_arg(q**-1)
+    for k in range(1, r):
+        for j in range(r - k):
+            mat[k][k - 1 + j] = op.coefficient(j).scale_arg(q ** (k - 1))
+    return mat
+
+
+_POLY = st.lists(st.integers(-5, 5), min_size=1, max_size=3).map(Polynomial)
+_DEN = st.sampled_from([(1,), (1,), (1, 1), (2, -1), (3,)]).map(Polynomial)
+_NONZERO = _POLY.filter(lambda p: not p.is_zero)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), r=st.integers(1, 6), polynomial=st.booleans())
+def test_psi_matches_rational_function_construction(data, r, polynomial):
+    """Both pairing matrices against their construction on
+    RationalFunctions, for polynomial coefficients (the entries are built
+    as polynomials) and for rational ones."""
+    den = st.just(Polynomial.one()) if polynomial else _DEN
+    coeffs = [
+        RationalFunction(data.draw(_NONZERO if k in (0, r) else _POLY), data.draw(den))
+        for k in range(r + 1)
+    ]
+    op = SkewOperator(THETA, coeffs)
+    assert psi_matrix(op) == psi_by_rational_functions(op)
+    op = SkewOperator(QSHIFT, coeffs, q=data.draw(st.sampled_from([Q(1, 2), Q(2, 3)])))
+    assert psi_q_matrix(op) == psi_q_by_rational_functions(op)
+
+
 class TestPairings:
     # offsets 1/3 and 1/2 neither sum to 0 (theta) nor multiply to 1 (q)
     @pytest.mark.parametrize(
@@ -380,16 +435,9 @@ class TestMatrixInvert:
             matrix_invert(m)
 
 
-_POLY = st.lists(st.integers(-5, 5), min_size=1, max_size=3).map(Polynomial)
-_DEN = st.sampled_from([(1,), (1,), (1, 1), (2, -1), (3,)]).map(Polynomial)
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.integers(1, 5))
-def test_shuffled_triangular_inverse_matches_gauss_jordan(data, n):
-    """An upper triangular matrix with a nonzero diagonal, its rows and
-    columns shuffled: matrix_invert agrees with the general inverse and
-    multiplies back on both sides."""
+def _shuffled_triangular(data, n):
+    """An upper triangular n x n matrix with a nonzero diagonal, its rows
+    and its columns shuffled by permutations drawn independently."""
     rows = data.draw(st.permutations(range(n)))
     cols = data.draw(st.permutations(range(n)))
     m = [[None] * n for _ in range(n)]
@@ -398,13 +446,92 @@ def test_shuffled_triangular_inverse_matches_gauss_jordan(data, n):
             if i > j:
                 entry = RationalFunction.zero()
             else:
-                num = _POLY.filter(lambda p: not p.is_zero) if i == j else _POLY
+                num = _NONZERO if i == j else _POLY
                 entry = RationalFunction(data.draw(num), data.draw(_DEN))
             m[rows[i]][cols[j]] = entry
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5))
+def test_shuffled_triangular_inverse_matches_gauss_jordan(data, n):
+    """A shuffled triangular matrix: matrix_invert agrees with the general
+    inverse and multiplies back on both sides."""
+    m = _shuffled_triangular(data, n)
     inv = matrix_invert(m)
     assert inv == gauss_jordan_invert(m)
     assert matrix_mul(m, inv) == matrix_identity(n)
     assert matrix_mul(inv, m) == matrix_identity(n)
+
+
+def bareiss_det(mat):
+    """matrix_det by its fraction-free elimination, with the product of the
+    pivots of a triangular order switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(skew_operators, "_triangular_order", lambda m: None)
+        return matrix_det(mat)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_shuffled_triangular_det_matches_bareiss(n, data):
+    m = _shuffled_triangular(data, n)
+    assert matrix_det(m) == bareiss_det(m)
+
+
+def test_det_sign_under_every_row_and_column_order():
+    """Every pair of row and column permutations of one triangular matrix,
+    so that each combination of the two parities occurs."""
+    upper = [[rf(2, 1), rf(1), rf(0, 3)], [rf(), rf(1, -1), rf(5)], [rf(), rf(), rf(3, 0, 1)]]
+    for rows in permutations(range(3)):
+        for cols in permutations(range(3)):
+            m = [[upper[rows.index(i)][cols.index(j)] for j in range(3)] for i in range(3)]
+            assert matrix_det(m) == bareiss_det(m), (rows, cols)
+
+
+@pytest.mark.parametrize(
+    "family, base", [(hg, ()), (qhg, (Q(2, 3),))], ids=["theta", "qshift"]
+)
+def test_det_of_psi_divides_nothing(monkeypatch, family, base):
+    """det Psi is the product of its pivots: no polynomial division."""
+    ops = [
+        family.operator(family.sample_params(random.Random(r), r, *base))
+        for r in range(2, MAX_R + 1)
+    ]
+    expected = [family.psi_det(op) for op in ops]
+
+    def refuse(self, other):
+        raise AssertionError("division in the determinant of a triangular matrix")
+
+    monkeypatch.setattr(Polynomial, "divexact", refuse)
+    assert [matrix_det(family.psi(op)) for op in ops] == expected
+
+
+def entrywise_mul(a, b):
+    """The product with every entry a sum of RationalFunction products,
+    each product and each sum normalised by a gcd."""
+    return [
+        [
+            sum((a[i][k] * b[k][j] for k in range(len(b))), RationalFunction.zero())
+            for j in range(len(b[0]))
+        ]
+        for i in range(len(a))
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 4),
+    p=st.integers(1, 4),
+    m=st.integers(1, 4),
+)
+def test_matrix_mul_matches_entrywise_product(data, n, p, m):
+    entry = st.builds(RationalFunction, _POLY, _DEN)
+    a = [[data.draw(entry) for _ in range(p)] for _ in range(n)]
+    b = [[data.draw(entry) for _ in range(m)] for _ in range(p)]
+    assert matrix_mul(a, b) == entrywise_mul(a, b)
 
 
 def _predicted_pivots(family, op):
