@@ -7,11 +7,7 @@ from .exact_algebra import (
     poly_gcd,
     RationalFunction,
     TruncatedSeries,
-    series_of_ratfunc,
-    series_invert,
-    rational_reconstruct,
     PoleAtOrigin,
-    ReconstructionFailed,
 )
 from .skew_operators import (
     THETA,
@@ -22,9 +18,6 @@ from .skew_operators import (
     q_dual_operator,
     psi_matrix,
     psi_q_matrix,
-    omega_pairing,
-    omega_q_pairing,
-    wronskian_det,
 )
 from .hypergeometric import (
     HGParams,

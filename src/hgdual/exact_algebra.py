@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: rationals, univariate polynomials in z, reduced
-rational functions, truncated power series, and rational reconstruction.
+rational functions, truncated power series, and the bilinear-sum kernel
+that forms their products over integers.
 
 Everything is exact; there is no floating point anywhere in this package.
 Values are immutable after construction, so all operations are pure.
@@ -24,9 +25,6 @@ __all__ = [
     "poly_lcm",
     "RationalFunction",
     "TruncatedSeries",
-    "series_of_ratfunc",
-    "series_invert",
-    "rational_reconstruct",
     "integer_vector",
     "bilinear_combinations",
     "kernel_workers",
@@ -34,7 +32,6 @@ __all__ = [
     "integer_first_mismatch",
     "series_of_integer_vector",
     "PoleAtOrigin",
-    "ReconstructionFailed",
 ]
 
 _QZERO = Q(0)
@@ -43,10 +40,6 @@ _QONE = Q(1)
 
 class PoleAtOrigin(ValueError):
     """Series expansion requested for a rational function with den(0) = 0."""
-
-
-class ReconstructionFailed(ValueError):
-    """No rational function within the degree bounds matches the series."""
 
 
 def rat(x):
@@ -140,13 +133,6 @@ class Polynomial:
     def scale(self, c):
         c = rat(c)
         return Polynomial([c * x for x in self.coeffs])
-
-    def evaluate(self, x):
-        x = rat(x)
-        acc = _QZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def theta(self):
         """z * d/dz: the coefficient of z^n multiplies by n."""
@@ -319,13 +305,9 @@ class RationalFunction:
 
 
 class TruncatedSeries:
-    """Power series known exactly through z^order.
-
-    coeffs has length order+1. Binary operations return the minimum of the
-    two operand orders; there is no silent padding. The commands form their
-    series products in bilinear_combinations; this Fraction arithmetic is
-    the direct definition the tests compare it with.
-    """
+    """Power series known exactly through z^order; coeffs has length
+    order+1. The commands form their series products in
+    bilinear_combinations, over integers."""
 
     __slots__ = ("coeffs", "order")
 
@@ -336,21 +318,8 @@ class TruncatedSeries:
             raise ValueError("series order must be non-negative")
 
     @staticmethod
-    def zero(order):
-        return TruncatedSeries([_QZERO] * (order + 1))
-
-    @staticmethod
     def one(order):
         return TruncatedSeries([_QONE] + [_QZERO] * order)
-
-    def coefficient(self, n):
-        if n < 0 or n > self.order:
-            raise IndexError("coefficient beyond truncation order")
-        return self.coeffs[n]
-
-    @property
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -359,42 +328,6 @@ class TruncatedSeries:
 
     def __hash__(self):
         return hash((self.order, self.coeffs))
-
-    def __add__(self, other):
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)]
-        )
-
-    def __sub__(self, other):
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)]
-        )
-
-    def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order)
-            out = [_QZERO] * (n + 1)
-            for i in range(n + 1):
-                ci = self.coeffs[i]
-                if ci == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    out[i + j] += ci * other.coeffs[j]
-            return TruncatedSeries(out)
-        return self.scale(other)
-
-    def scale(self, c):
-        c = rat(c)
-        return TruncatedSeries([c * x for x in self.coeffs])
-
-    def theta(self):
-        """Euler operator on the body: coefficient of z^n multiplies by n."""
-        return TruncatedSeries([i * c for i, c in enumerate(self.coeffs)])
 
     def scale_arg(self, q):
         """phi(q*z): coefficient of z^n multiplies by q^n."""
@@ -409,34 +342,6 @@ class TruncatedSeries:
         prefix = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if self.order >= 8 else ""
         return "Series[%s%s; order=%d]" % (prefix, tail, self.order)
-
-
-def series_of_ratfunc(f, order):
-    """Maclaurin expansion of a rational function through z^order."""
-    if f.den.evaluate(0) == 0:
-        raise PoleAtOrigin("rational function has a pole at z = 0")
-    num = TruncatedSeries(
-        [f.num.coefficient(i) for i in range(order + 1)]
-    )
-    den = TruncatedSeries(
-        [f.den.coefficient(i) for i in range(order + 1)]
-    )
-    return num * series_invert(den)
-
-
-def series_invert(a):
-    """Multiplicative inverse: a * result = 1 through the truncation order."""
-    c0 = a.coeffs[0]
-    if c0 == 0:
-        raise ZeroDivisionError("series with zero constant term is not invertible")
-    inv0 = 1 / c0
-    out = [inv0]
-    for n in range(1, a.order + 1):
-        acc = _QZERO
-        for k in range(1, n + 1):
-            acc += a.coeffs[k] * out[n - k]
-        out.append(-inv0 * acc)
-    return TruncatedSeries(out)
 
 
 # Integer vectors over one common denominator. A pair (v, d) of a list of
@@ -722,7 +627,7 @@ def integer_first_mismatch(v, d, f):
     Checked as den(f) v - num(f) d = 0 through that order, over the
     integers; since den(f)(0) != 0, coefficient n of that difference is the
     first nonzero one exactly when coefficient n of v/d is the first to
-    differ from series_of_ratfunc(f, len(v)-1).
+    differ from the expansion of f.
     """
     if f.den.coefficient(0) == 0:
         raise PoleAtOrigin("rational function has a pole at z = 0")
@@ -740,86 +645,3 @@ def integer_first_mismatch(v, d, f):
 def series_of_integer_vector(v, d):
     """The TruncatedSeries with coefficients v[n] / d."""
     return TruncatedSeries([Q(x, d) for x in v])
-
-
-def _kernel_vector(rows, ncols):
-    """One nonzero kernel vector of the matrix given by rows, via exact
-    Gaussian elimination. rows may be fewer than ncols."""
-    mat = [list(row) for row in rows]
-    pivots = []
-    free = list(range(ncols))
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        free.remove(c)
-        r += 1
-        if r == len(mat):
-            break
-    if not free:
-        return None
-    fc = free[0]
-    vec = [_QZERO] * ncols
-    vec[fc] = _QONE
-    for row_idx, pc in enumerate(pivots):
-        vec[pc] = -mat[row_idx][fc]
-    return vec
-
-
-def rational_reconstruct(a, num_deg, den_deg):
-    """Recover p/q with deg p <= num_deg, deg q <= den_deg, den(0) != 0 from
-    the series a, certifying against every supplied coefficient.
-
-    The denominator degree is minimized: candidates are tried from degree 0
-    upward and the first fully-certified one wins. Raises ReconstructionFailed
-    when nothing within the bounds matches.
-    """
-    if a.order < num_deg + den_deg + 1:
-        raise ValueError(
-            "series order %d too small for bounds (%d, %d); need >= %d"
-            % (a.order, num_deg, den_deg, num_deg + den_deg + 1)
-        )
-    for d in range(den_deg + 1):
-        # q has d+1 unknown coefficients; require every known coefficient of
-        # q*a beyond z^num_deg to vanish (overdetermined on purpose)
-        rows = []
-        for k in range(num_deg + 1, a.order + 1):
-            rows.append(
-                [a.coeffs[k - j] if k - j >= 0 else _QZERO for j in range(d + 1)]
-            )
-        qvec = _kernel_vector(rows, d + 1)
-        if qvec is None:
-            continue
-        den = Polynomial(qvec)
-        if den.is_zero:
-            continue
-        den_series = TruncatedSeries(
-            [den.coefficient(i) for i in range(a.order + 1)]
-        )
-        prod = den_series * a
-        num = Polynomial(prod.coeffs[: num_deg + 1])
-        try:
-            f = RationalFunction(num, den)
-        except ZeroDivisionError:
-            continue
-        if f.den.evaluate(0) == 0 or f.num.degree > num_deg:
-            continue
-        if series_of_ratfunc(f, a.order) == a:
-            return f
-    raise ReconstructionFailed(
-        "no rational function with degrees (%d, %d) matches all %d coefficients"
-        % (num_deg, den_deg, a.order + 1)
-    )

@@ -251,17 +251,6 @@ def anti_diagonal_entry(l):
     return RationalFunction(Polynomial([sign])) / _one_minus_z()
 
 
-def bilinear_sum(weights, f_powers, g_powers, k, l):
-    """sum_i w_i X^k(f_i) X^l(g_i) collapsed to a plain series, where
-    f_powers[i][k] = X^k(f_i) for X = theta or Delta: the direct r^3
-    definition that tests compare both families' sum tables with."""
-    acc = None
-    for w, fp, gp in zip(weights, f_powers, g_powers):
-        term = fp[k].pair_product(gp[l]).scale(w)
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def bilinear_sum_table(p, N):
     """Every sum T_kl = sum_i w_i theta^k(f_i) theta^l(g_i), 0 <= k, l < r,
     through z^N, as integer vectors (v, d) over one common denominator.
@@ -271,8 +260,7 @@ def bilinear_sum_table(p, N):
     (c_i + n)^k phi_in. So the first column T_k0, k = 0..2r-2, reweights one
     set of big products phi_in psi_ij per i by small integers. The Leibniz
     rule theta(T_kl) = T_(k+1)l + T_k(l+1) then gives the other columns as
-    T_k(l+1) = theta(T_kl) - T_(k+1)l, exactly through z^N. The result
-    equals bilinear_sum over the advance tables cell for cell.
+    T_k(l+1) = theta(T_kl) - T_(k+1)l, exactly through z^N.
     """
     r = p.r
     weights = duality_weights(p)

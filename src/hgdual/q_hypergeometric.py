@@ -188,25 +188,12 @@ def psi_det(op):
     return acc
 
 
-def rescale_operator(op, c):
-    """Substitute z -> c*z in every coefficient."""
-    return SkewOperator(op.mode, [a.scale_arg(c) for a in op.coeffs], op.q)
-
-
 def _shifted(q, N):
     """The q-family factor x, n -> 1 - x q^n for n < N, as the integer pair
     (den(x) den(q)^n - num(x) num(q)^n, den(x) den(q)^n)."""
     qn, qd = int(q.numerator), int(q.denominator)
     nums, dens = [qn**n for n in range(N)], [qd**n for n in range(N)]
     return lambda x, n: (x[1] * dens[n] - x[0] * nums[n], x[1] * dens[n])
-
-
-def q_hypergeometric_body(upper, lower, q, N):
-    """sum_n prod (u;q)_n / (prod (l;q)_n (q;q)_n) z^n through z^N."""
-    q = rat(q)
-    return term_ratio_series(
-        [*map(rat, upper)], [*map(rat, lower), q], N, _shifted(q, N)
-    )
 
 
 def q_solution_basis(p, N, which="primal"):
@@ -278,9 +265,7 @@ def q_bilinear_sum_table(p, N):
     (k, l) is the shift sum
     E_e(w) = sum_i w_i mu_i^e phi_i(q^e w) psi_i(w),  e = k-l,
     at w = q^l z. There are 2r-1 of them, and they reweight one set of big
-    products phi_in psi_ij per i by the small powers q^(en). The result
-    equals hypergeometric.bilinear_sum over the advance tables cell for
-    cell.
+    products phi_in psi_ij per i by the small powers q^(en).
     """
     r, q = p.r, p.q
     weights = q_duality_weights(p)

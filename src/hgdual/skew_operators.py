@@ -1,6 +1,7 @@
 """Operator algebra for the Euler derivation theta = z*d/dz and the q-shift
-automorphism f(z) -> f(qz): formal duals, the bilinear pairing matrices, the
-pairings on tagged series solutions, Wronskians, and exact matrix inversion.
+automorphism f(z) -> f(qz): formal duals, the bilinear pairing matrices,
+their determinant, inverse and products, and the cell-by-cell verifier of
+both families.
 
 Operators are stored in theta-form (Theta mode, L = sum A_j theta^j) or
 shift-form (QShift mode, L = sum A_j Delta^j) with RationalFunction
@@ -10,20 +11,16 @@ coefficients A_0..A_r.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import comb
 from operator import mul
 
 from .exact_algebra import (
     Polynomial,
-    Q,
     RationalFunction,
-    TruncatedSeries,
     integer_first_mismatch,
     poly_lcm,
     rat,
     series_of_integer_vector,
-    series_of_ratfunc,
 )
 
 THETA = "theta"
@@ -34,14 +31,6 @@ _RF_ZERO = RationalFunction.zero()
 
 class DegenerateOperator(ValueError):
     """Operator violates a structural requirement (e.g. A_0 = 0 or A_r = 0)."""
-
-
-class OffsetMismatch(ValueError):
-    """Tagged series whose formal prefactors do not cancel."""
-
-
-class SingularMatrix(ValueError):
-    """Matrix inversion requested for a matrix with zero determinant."""
 
 
 class InsufficientPrecision(ValueError):
@@ -112,35 +101,12 @@ class SkewOperator:
         parts = ["(%r)*%s^%d" % (c, sym, j) for j, c in enumerate(self.coeffs)]
         return " + ".join(parts)
 
-    def scale(self, unit):
-        """Multiply every coefficient by a nonzero rational function."""
-        if not isinstance(unit, RationalFunction):
-            unit = RationalFunction.constant(unit)
-        if unit.is_zero:
-            raise ValueError("unit must be nonzero")
-        return SkewOperator(self.mode, [c * unit for c in self.coeffs], self.q)
-
-    def apply(self, s):
-        """Apply the operator to a tagged series, exactly through its order."""
-        if s.mode != self.mode:
-            raise ValueError("operator and series mode disagree")
-        n = s.body.order
-        acc = TruncatedSeries.zero(n)
-        term = s
-        for j, a in enumerate(self.coeffs):
-            if not a.is_zero:
-                acc = acc + series_of_ratfunc(a, n) * term.body
-            if j < self.order:
-                term = term.advance()
-        return TaggedSeries(self.mode, s.offset, acc, s.q)
-
 
 class TaggedSeries:
     """A formal product z^c * body(z), with the prefactor kept symbolic.
 
     Theta mode stores the exponent c itself (theta(z^c) = c z^c); QShift mode
-    stores the eigenvalue mu with Delta(z^c) = mu z^c. Scalar multiples are
-    folded into the body, so equal values compare equal structurally.
+    stores the eigenvalue mu with Delta(z^c) = mu z^c.
     """
 
     __slots__ = ("mode", "offset", "body", "q")
@@ -163,41 +129,6 @@ class TaggedSeries:
 
     def __repr__(self):
         return "z^[%s] * %r" % (self.offset, self.body)
-
-    def scale(self, c):
-        return TaggedSeries(self.mode, self.offset, self.body.scale(c), self.q)
-
-    def __add__(self, other):
-        if self.mode != other.mode or self.offset != other.offset or self.q != other.q:
-            raise OffsetMismatch("cannot add tagged series with different tags")
-        return TaggedSeries(self.mode, self.offset, self.body + other.body, self.q)
-
-    def advance(self):
-        """One application of the mode's operator symbol.
-
-        Theta: theta(z^c phi) = z^c (c + theta) phi.
-        QShift: Delta(z^c phi) = mu z^c phi(qz).
-        """
-        if self.mode == THETA:
-            body = self.body.scale(self.offset) + self.body.theta()
-        else:
-            body = self.body.scale_arg(self.q).scale(self.offset)
-        return TaggedSeries(self.mode, self.offset, body, self.q)
-
-    def cancels_with(self, other):
-        if self.mode != other.mode or self.q != other.q:
-            return False
-        if self.mode == THETA:
-            return self.offset + other.offset == 0
-        return self.offset * other.offset == 1
-
-    def pair_product(self, other):
-        """Product collapsing to a plain series; the prefactors must cancel."""
-        if not self.cancels_with(other):
-            raise OffsetMismatch(
-                "prefactors do not cancel: %s vs %s" % (self.offset, other.offset)
-            )
-        return self.body * other.body
 
 
 @dataclass(frozen=True)
@@ -301,80 +232,6 @@ def psi_q_matrix(op):
     return mat
 
 
-def _pairing(mat, g, f):
-    """Sum_{i,j} mat_ij X^i(g) X^j(f) for the mode's operator symbol X."""
-    if not g.cancels_with(f):
-        raise OffsetMismatch("pairing requires cancelling prefactors")
-    r = len(mat)
-    n = min(g.body.order, f.body.order)
-    gs, fs = [g], [f]
-    for _ in range(r - 1):
-        gs.append(gs[-1].advance())
-        fs.append(fs[-1].advance())
-    acc = TruncatedSeries.zero(n)
-    for i in range(r):
-        for j in range(r):
-            entry = mat[i][j]
-            if entry.is_zero:
-                continue
-            acc = acc + series_of_ratfunc(entry, n) * gs[i].pair_product(fs[j])
-    return acc
-
-
-def omega_pairing(op, g, f):
-    """Sum_{i,j} Psi_{ij} theta^i(g) theta^j(f) as a plain series; constant
-    through the guard order when g, f solve the dual and primal equations."""
-    return _pairing(psi_matrix(op), g, f)
-
-
-def omega_q_pairing(op, g, f):
-    """Shift-mode pairing (g, Delta g, ...) Psi_q (f, Delta f, ...)^t."""
-    return _pairing(psi_q_matrix(op), g, f)
-
-
-def annihilates(op, s, guard):
-    """True when op(s) vanishes on every coefficient z^0..z^{order-guard}."""
-    out = op.apply(s).body
-    limit = out.order - guard
-    return all(c == 0 for c in out.coeffs[: limit + 1])
-
-
-def wronskian_matrix(rows):
-    """Matrix whose k-th row is the k-th theta- or Delta-power of each input."""
-    if not rows:
-        raise ValueError("empty solution list")
-    r = len(rows)
-    mat = [list(rows)]
-    for _ in range(r - 1):
-        mat.append([s.advance() for s in mat[-1]])
-    return mat
-
-
-def wronskian_det(rows):
-    """Determinant of the Wronskian matrix as a tagged series.
-
-    Every permutation term carries the same total prefactor (one entry per
-    column), so the determinant is z^[sum of offsets] times a plain series.
-    """
-    mat = wronskian_matrix(rows)
-    r = len(rows)
-    n = min(s.body.order for s in rows)
-    first = rows[0]
-    if first.mode == THETA:
-        total = sum((s.offset for s in rows), Q(0))
-    else:
-        total = Q(1)
-        for s in rows:
-            total = total * s.offset
-    det = TruncatedSeries.zero(n)
-    for perm in permutations(range(r)):
-        term = TruncatedSeries.one(n)
-        for k in range(r):
-            term = term * mat[k][perm[k]].body
-        det = det + (-term if _odd(perm) else term)
-    return TaggedSeries(first.mode, total, det, first.q)
-
-
 def _odd(perm):
     """True when the permutation perm has an odd number of inversions."""
     n = len(perm)
@@ -396,54 +253,23 @@ def _cleared(mat):
 
 
 def matrix_det(mat):
-    """Exact determinant of a square RationalFunction matrix.
-
-    In a triangular order (_triangular_order), as Psi of either family has,
-    it is the signed product of the pivots. Otherwise, fraction-free
-    (Bareiss) elimination of C = den * mat below the pivots:
-    each step divides by the previous pivot, and every entry stays a minor
-    of C, so the divisions are exact and the last pivot is det C up to the
-    sign of the row swaps. Only the columns past each pivot are updated:
-    the ones up to it are never read again.
+    """Exact determinant of a square RationalFunction matrix that is upper
+    triangular up to row and column order (_triangular_order), as Psi of
+    either family is: the signed product of the pivots. Raises ValueError
+    for any other matrix, a singular one included.
     """
-    order = _triangular_order(mat)
-    if order is not None:
-        rows, cols = order
-        num, den = Polynomial.one(), Polynomial.one()
-        for i, j in zip(rows, cols):
-            num, den = num * mat[i][j].num, den * mat[i][j].den
-        return RationalFunction(-num if _odd(rows) != _odd(cols) else num, den)
-    m, den = _cleared(mat)
-    n = len(m)
-    sign = 1
-    prev = Polynomial.one()
-    for k in range(n):
-        if m[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return _RF_ZERO
-        pivot, pivot_row = m[k][k], m[k]
-        for row in m[k + 1 :]:
-            factor = row[k]
-            row[k + 1 :] = [
-                (pivot * x - factor * y).divexact(prev)
-                for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
-            ]
-        prev = pivot
-    full_den = Polynomial.one()
-    for _ in range(n):
-        full_den = full_den * den
-    return RationalFunction(prev if sign == 1 else -prev, full_den)
+    rows, cols = _triangular_order(mat)
+    num, den = Polynomial.one(), Polynomial.one()
+    for i, j in zip(rows, cols):
+        num, den = num * mat[i][j].num, den * mat[i][j].den
+    return RationalFunction(-num if _odd(rows) != _odd(cols) else num, den)
 
 
 def _triangular_order(mat):
     """Row and column orders (rows, cols) under which a square matrix is
     upper triangular: mat[rows[i]][cols[j]] is zero for i > j and nonzero
-    for i = j. None if it has no such order.
+    for i = j. Raises ValueError if it has no such order, as a singular
+    matrix has none.
 
     Peels off, from the bottom up, a row with exactly one nonzero entry
     among the columns not yet taken; that entry is its pivot. Deleting a
@@ -458,7 +284,7 @@ def _triangular_order(mat):
             if len(nonzero) == 1:
                 break
         else:
-            return None
+            raise ValueError("matrix is not triangular up to row and column order")
         left.remove(i)
         live.remove(nonzero[0])
         rows.append(i)
@@ -469,8 +295,8 @@ def _triangular_order(mat):
 def matrix_invert(mat):
     """Exact inverse of a square RationalFunction matrix that is upper
     triangular up to row and column order (_triangular_order), as the
-    pairing matrices of both families are. Raises SingularMatrix for a zero
-    determinant and ValueError for any other matrix without such an order.
+    pairing matrices of both families are. Raises ValueError for any other
+    matrix, a singular one included.
 
     In that order, C = den * mat (_cleared) has pivots d_m = C_mm, and
     C^{-1} has the entries Y_ij / prod_{m=i..j} d_m with Y_jj = 1 and
@@ -479,12 +305,7 @@ def matrix_invert(mat):
     mat^{-1} = den C^{-1} is normalised once: a gcd over every
     intermediate rational function would run on swollen coefficients.
     """
-    order = _triangular_order(mat)
-    if order is None:
-        if matrix_det(mat).is_zero:
-            raise SingularMatrix("matrix has zero determinant")
-        raise ValueError("matrix is not triangular up to row and column order")
-    rows, cols = order
+    rows, cols = _triangular_order(mat)
     cleared, den = _cleared(mat)
     c = [[cleared[i][j] for j in cols] for i in rows]
     n = len(mat)

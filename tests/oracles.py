@@ -1,0 +1,448 @@
+"""The direct definitions the tests compare the package with. No command
+runs any of them, so they live here and not in src/hgdual/: Fraction
+arithmetic on TruncatedSeries, rational reconstruction, the action of an
+operator and the pairings and Wronskians on tagged series, the r^3
+bilinear sum, the general determinant and inverse, and the closed forms
+of the Pochhammer symbols and the dual bases. Each is a free function on
+the package's values."""
+
+from itertools import permutations
+
+from hgdual.exact_algebra import (
+    PoleAtOrigin,
+    Polynomial,
+    Q,
+    RationalFunction,
+    TruncatedSeries,
+    poly_lcm,
+    rat,
+)
+from hgdual.hypergeometric import hypergeometric_body, term_ratio_series
+from hgdual.q_hypergeometric import _shifted, argument_rescale
+from hgdual.skew_operators import (
+    THETA,
+    SkewOperator,
+    TaggedSeries,
+    _odd,
+    psi_matrix,
+    psi_q_matrix,
+)
+
+
+class OffsetMismatch(ValueError):
+    """Tagged series whose formal prefactors do not cancel."""
+
+
+class ReconstructionFailed(ValueError):
+    """No rational function within the degree bounds matches the series."""
+
+
+# -- TruncatedSeries arithmetic: a binary operation keeps the lower order
+
+
+def zero(order):
+    return TruncatedSeries([0] * (order + 1))
+
+
+def add(a, b):
+    return TruncatedSeries([x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def sub(a, b):
+    return TruncatedSeries([x - y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def scale(s, c):
+    """c * s for a rational c; on a TaggedSeries c multiplies the body."""
+    if isinstance(s, TaggedSeries):
+        return TaggedSeries(s.mode, s.offset, scale(s.body, c), s.q)
+    c = rat(c)
+    return TruncatedSeries([c * x for x in s.coeffs])
+
+
+def mul(a, b):
+    """The Cauchy product a * b."""
+    n = min(len(a.coeffs), len(b.coeffs))
+    out = [Q(0)] * n
+    for i, x in enumerate(a.coeffs[:n]):
+        if x != 0:
+            for j, y in enumerate(b.coeffs[: n - i]):
+                out[i + j] += x * y
+    return TruncatedSeries(out)
+
+
+def theta(s):
+    """The Euler operator: the coefficient of z^n multiplies by n."""
+    return TruncatedSeries([n * c for n, c in enumerate(s.coeffs)])
+
+
+def evaluate(p, x):
+    """The Polynomial p at the rational x, by Horner's rule."""
+    acc = Q(0)
+    for c in reversed(p.coeffs):
+        acc = acc * rat(x) + c
+    return acc
+
+
+def series_invert(a):
+    """Multiplicative inverse: a * result = 1 through the truncation order."""
+    c0 = a.coeffs[0]
+    if c0 == 0:
+        raise ZeroDivisionError("series with zero constant term is not invertible")
+    out = [1 / c0]
+    for n in range(1, a.order + 1):
+        out.append(-out[0] * sum(a.coeffs[k] * out[n - k] for k in range(1, n + 1)))
+    return TruncatedSeries(out)
+
+
+def series_of_ratfunc(f, order):
+    """Maclaurin expansion of a rational function through z^order."""
+    if f.den.coefficient(0) == 0:
+        raise PoleAtOrigin("rational function has a pole at z = 0")
+    num = TruncatedSeries([f.num.coefficient(i) for i in range(order + 1)])
+    den = TruncatedSeries([f.den.coefficient(i) for i in range(order + 1)])
+    return mul(num, series_invert(den))
+
+
+def _kernel_vector(rows, ncols):
+    """One nonzero kernel vector of the matrix given by rows, via exact
+    Gaussian elimination. rows may be fewer than ncols."""
+    mat = [list(row) for row in rows]
+    pivots = []
+    free = list(range(ncols))
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        free.remove(c)
+        r += 1
+        if r == len(mat):
+            break
+    if not free:
+        return None
+    vec = [Q(0)] * ncols
+    vec[free[0]] = Q(1)
+    for row_idx, pc in enumerate(pivots):
+        vec[pc] = -mat[row_idx][free[0]]
+    return vec
+
+
+def rational_reconstruct(a, num_deg, den_deg):
+    """Recover p/q with deg p <= num_deg, deg q <= den_deg, den(0) != 0 from
+    the series a, certifying against every supplied coefficient.
+
+    The denominator degree is minimized: candidates are tried from degree 0
+    upward and the first fully-certified one wins. Raises ReconstructionFailed
+    when nothing within the bounds matches.
+    """
+    order = a.order
+    if order < num_deg + den_deg + 1:
+        raise ValueError(
+            "series order %d too small for bounds (%d, %d); need >= %d"
+            % (order, num_deg, den_deg, num_deg + den_deg + 1)
+        )
+    for d in range(den_deg + 1):
+        # q has d+1 unknown coefficients; require every known coefficient of
+        # q*a beyond z^num_deg to vanish (overdetermined on purpose)
+        rows = [
+            [a.coeffs[k - j] if k - j >= 0 else Q(0) for j in range(d + 1)]
+            for k in range(num_deg + 1, order + 1)
+        ]
+        qvec = _kernel_vector(rows, d + 1)
+        if qvec is None:
+            continue
+        den = Polynomial(qvec)
+        if den.is_zero:
+            continue
+        prod = mul(TruncatedSeries([den.coefficient(i) for i in range(order + 1)]), a)
+        f = RationalFunction(Polynomial(prod.coeffs[: num_deg + 1]), den)
+        if f.den.coefficient(0) == 0 or f.num.degree > num_deg:
+            continue
+        if series_of_ratfunc(f, order) == a:
+            return f
+    raise ReconstructionFailed(
+        "no rational function with degrees (%d, %d) matches all %d coefficients"
+        % (num_deg, den_deg, order + 1)
+    )
+
+
+# -- operators and tagged series
+
+
+def scale_operator(op, unit):
+    """Multiply every coefficient by a nonzero rational function."""
+    if not isinstance(unit, RationalFunction):
+        unit = RationalFunction.constant(unit)
+    if unit.is_zero:
+        raise ValueError("unit must be nonzero")
+    return SkewOperator(op.mode, [c * unit for c in op.coeffs], op.q)
+
+
+def rescale_operator(op, c):
+    """Substitute z -> c*z in every coefficient."""
+    return SkewOperator(op.mode, [a.scale_arg(c) for a in op.coeffs], op.q)
+
+
+def advance(s):
+    """One application of the mode's operator symbol.
+
+    Theta: theta(z^c phi) = z^c (c + theta) phi.
+    QShift: Delta(z^c phi) = mu z^c phi(qz).
+    """
+    if s.mode == THETA:
+        body = add(scale(s.body, s.offset), theta(s.body))
+    else:
+        body = scale(s.body.scale_arg(s.q), s.offset)
+    return TaggedSeries(s.mode, s.offset, body, s.q)
+
+
+def apply(op, s):
+    """Apply the operator to a tagged series, exactly through its order."""
+    if s.mode != op.mode:
+        raise ValueError("operator and series mode disagree")
+    n = s.body.order
+    acc, term = zero(n), s
+    for a in op.coeffs:
+        if not a.is_zero:
+            acc = add(acc, mul(series_of_ratfunc(a, n), term.body))
+        term = advance(term)
+    return TaggedSeries(op.mode, s.offset, acc, s.q)
+
+
+def cancels_with(g, f):
+    if g.mode != f.mode or g.q != f.q:
+        return False
+    if g.mode == THETA:
+        return g.offset + f.offset == 0
+    return g.offset * f.offset == 1
+
+
+def pair_product(g, f):
+    """Product collapsing to a plain series; the prefactors must cancel."""
+    if not cancels_with(g, f):
+        raise OffsetMismatch("prefactors do not cancel: %s vs %s" % (g.offset, f.offset))
+    return mul(g.body, f.body)
+
+
+def _pairing(mat, g, f):
+    """Sum_{i,j} mat_ij X^i(g) X^j(f) for the mode's operator symbol X."""
+    if not cancels_with(g, f):
+        raise OffsetMismatch("pairing requires cancelling prefactors")
+    r = len(mat)
+    n = min(g.body.order, f.body.order)
+    gs, fs = [g], [f]
+    for _ in range(r - 1):
+        gs.append(advance(gs[-1]))
+        fs.append(advance(fs[-1]))
+    acc = zero(n)
+    for i in range(r):
+        for j in range(r):
+            if not mat[i][j].is_zero:
+                term = mul(series_of_ratfunc(mat[i][j], n), pair_product(gs[i], fs[j]))
+                acc = add(acc, term)
+    return acc
+
+
+def omega_pairing(op, g, f):
+    """Sum_{i,j} Psi_{ij} theta^i(g) theta^j(f) as a plain series; constant
+    through the guard order when g, f solve the dual and primal equations."""
+    return _pairing(psi_matrix(op), g, f)
+
+
+def omega_q_pairing(op, g, f):
+    """Shift-mode pairing (g, Delta g, ...) Psi_q (f, Delta f, ...)^t."""
+    return _pairing(psi_q_matrix(op), g, f)
+
+
+def annihilates(op, s, guard):
+    """True when op(s) vanishes on every coefficient z^0..z^{order-guard}."""
+    out = apply(op, s).body.coeffs
+    return all(c == 0 for c in out[: len(out) - guard])
+
+
+def wronskian_det(rows):
+    """Determinant of the matrix whose k-th row is the k-th theta- or
+    Delta-power of each input, as a tagged series. Every permutation term
+    carries the same total prefactor (one entry per column), so the
+    determinant is z^[sum of offsets] times a plain series."""
+    if not rows:
+        raise ValueError("empty solution list")
+    r, first = len(rows), rows[0]
+    mat = [list(rows)]
+    for _ in range(r - 1):
+        mat.append([advance(s) for s in mat[-1]])
+    if first.mode == THETA:
+        total = sum((s.offset for s in rows), Q(0))
+    else:
+        total = Q(1)
+        for s in rows:
+            total *= s.offset
+    n = min(s.body.order for s in rows)
+    det = zero(n)
+    for perm in permutations(range(r)):
+        term = TruncatedSeries.one(n)
+        for k in range(r):
+            term = mul(term, mat[k][perm[k]].body)
+        det = add(det, scale(term, -1) if _odd(perm) else term)
+    return TaggedSeries(first.mode, total, det, first.q)
+
+
+def bilinear_sum(weights, f_powers, g_powers, k, l):
+    """sum_i w_i X^k(f_i) X^l(g_i) collapsed to a plain series, where
+    f_powers[i][k] = X^k(f_i) for X = theta or Delta: the direct r^3
+    definition of both families' sum tables."""
+    acc = None
+    for w, fp, gp in zip(weights, f_powers, g_powers):
+        term = scale(pair_product(fp[k], gp[l]), w)
+        acc = term if acc is None else add(acc, term)
+    return acc
+
+
+# -- matrices of rational functions
+
+
+def _cleared(mat):
+    """(C, den): C = den * mat over the monic lcm den of the denominators."""
+    den = Polynomial.one()
+    for row in mat:
+        for e in row:
+            den = poly_lcm(den, e.den)
+    return [[e.num * den.divexact(e.den) for e in row] for row in mat], den
+
+
+def bareiss_det(mat):
+    """Exact determinant by fraction-free (Bareiss) elimination of
+    C = den * mat below the pivots: each step divides by the previous
+    pivot, and every entry stays a minor of C, so the divisions are exact
+    and the last pivot is det C up to the sign of the row swaps."""
+    m, den = _cleared(mat)
+    n = len(m)
+    sign, prev = 1, Polynomial.one()
+    for k in range(n):
+        swap = next((i for i in range(k, n) if not m[i][k].is_zero), None)
+        if swap is None:
+            return RationalFunction.zero()
+        if swap != k:
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, pivot_row = m[k][k], m[k]
+        for row in m[k + 1 :]:
+            factor = row[k]
+            row[k + 1 :] = [
+                (pivot * x - factor * y).divexact(prev)
+                for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
+            ]
+        prev = pivot
+    full_den = Polynomial.one()
+    for _ in range(n):
+        full_den = full_den * den
+    return RationalFunction(prev if sign == 1 else -prev, full_den)
+
+
+def gauss_jordan_invert(mat):
+    """The general inverse: one fraction-free (Bareiss) Gauss-Jordan pass
+    takes [C | I] to [d I | T] with T C = d I, where C = den * mat, so
+    mat^{-1} = den T / d. Every entry stays a minor of [C | I], so the
+    divisions by the previous pivot are exact."""
+    n = len(mat)
+    c, den = _cleared(mat)
+    m = [
+        row + [Polynomial.one() if i == j else Polynomial.zero() for j in range(n)]
+        for i, row in enumerate(c)
+    ]
+    prev = Polynomial.one()
+    for k in range(n):
+        swap = next((i for i in range(k, n) if not m[i][k].is_zero), None)
+        if swap is None:
+            raise ZeroDivisionError("matrix has zero determinant")
+        m[k], m[swap] = m[swap], m[k]
+        pivot, pivot_row = m[k][k], m[k]
+        for i, row in enumerate(m):
+            if i == k:
+                continue
+            factor = row[k]
+            row[k + 1 :] = [
+                (pivot * x - factor * y).divexact(prev)
+                for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
+            ]
+        prev = pivot
+    return [[RationalFunction(den * x, prev) for x in row[n:]] for row in m]
+
+
+def entrywise_mul(a, b):
+    """The product with every entry a sum of RationalFunction products,
+    each product and each sum normalised by a gcd."""
+    return [
+        [
+            sum((a[i][k] * b[k][j] for k in range(len(b))), RationalFunction.zero())
+            for j in range(len(b[0]))
+        ]
+        for i in range(len(a))
+    ]
+
+
+# -- closed forms of the series bodies
+
+
+def pochhammer(x, n):
+    """Rising factorial x(x+1)...(x+n-1), with (x)_0 = 1: the closed form
+    the term-ratio recurrence is checked against."""
+    if n < 0:
+        raise ValueError("pochhammer index must be non-negative")
+    x = rat(x)
+    acc = Q(1)
+    for k in range(n):
+        acc *= x + k
+    return acc
+
+
+def q_pochhammer(a, q, n):
+    """q-shifted factorial (a;q)_n = (1-a)(1-aq)...(1-aq^{n-1}): the closed
+    form the term-ratio recurrence is checked against."""
+    if n < 0:
+        raise ValueError("q-pochhammer index must be non-negative")
+    a, q = rat(a), rat(q)
+    acc = Q(1)
+    power = Q(1)
+    for _ in range(n):
+        acc *= 1 - a * power
+        power *= q
+    return acc
+
+
+def q_hypergeometric_body(upper, lower, q, N):
+    """sum_n prod (u;q)_n / (prod (l;q)_n (q;q)_n) z^n through z^N."""
+    q = rat(q)
+    return term_ratio_series([*map(rat, upper)], [*map(rat, lower), q], N, _shifted(q, N))
+
+
+def explicit_dual_basis(p, N):
+    """g_i = z^{b_i-1} F(b_i-a_k ; b_i+1-b_j, j != i), written out."""
+    entries = []
+    for i, bi in enumerate(p.b):
+        upper = [bi - x for x in p.a]
+        lower = [bi + 1 - x for j, x in enumerate(p.b) if j != i]
+        entries.append((bi - 1, hypergeometric_body(upper, lower, N)))
+    return entries
+
+
+def explicit_q_dual_basis(p, N):
+    """g_i with the shift eigenvalue b_i/q and the body
+    (b_i/a_k ; q b_i/b_j, j != i) in the variable rho*z, written out."""
+    rho = argument_rescale(p)
+    entries = []
+    for i, bi in enumerate(p.b):
+        upper = [bi / x for x in p.a]
+        lower = [p.q * bi / x for j, x in enumerate(p.b) if j != i]
+        body = q_hypergeometric_body(upper, lower, p.q, N).scale_arg(rho)
+        entries.append((bi / p.q, body))
+    return entries

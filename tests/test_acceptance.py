@@ -16,16 +16,7 @@ from hgdual.cli import (
     THETA_R2_FIXTURES,
     THETA_R3_FIXTURES,
 )
-from hgdual.exact_algebra import (
-    Polynomial,
-    Q,
-    RationalFunction,
-    TruncatedSeries,
-    rat,
-    rational_reconstruct,
-    series_invert,
-    series_of_ratfunc,
-)
+from hgdual.exact_algebra import Polynomial, Q, RationalFunction, TruncatedSeries, rat
 from hgdual.hypergeometric import (
     HGParams,
     closed_form_m_r2,
@@ -48,7 +39,6 @@ from hgdual.q_hypergeometric import (
     q_duality_matrix,
     q_solution_basis,
     qhg_operator,
-    rescale_operator,
     sample_params as sample_qshift_params,
     superdiagonal_entry,
     verify_heine_identity,
@@ -57,13 +47,22 @@ from hgdual.q_hypergeometric import (
 from hgdual.skew_operators import (
     THETA,
     SkewOperator,
-    annihilates,
     dual_operator,
     matrix_det,
-    omega_pairing,
-    omega_q_pairing,
     psi_matrix,
     q_dual_operator,
+)
+from oracles import (
+    annihilates,
+    mul,
+    omega_pairing,
+    omega_q_pairing,
+    rational_reconstruct,
+    rescale_operator,
+    scale,
+    scale_operator,
+    series_invert,
+    series_of_ratfunc,
     wronskian_det,
 )
 
@@ -177,7 +176,7 @@ def test_05_pairing_constant_closed_forms():
                     if j != i:
                         expected *= p.b[j] - p.b[i]
                 out = omega_pairing(op, dual[i], primal[i])
-                assert out.coefficient(0) == expected
+                assert out.coeffs[0] == expected
                 assert all(c == 0 for c in out.coeffs[1 : N - r + 1])
             pq = sample_qshift_params(rng, r, Q(1, 2))
             opq = qhg_operator(pq)
@@ -189,7 +188,7 @@ def test_05_pairing_constant_closed_forms():
                     if j != i:
                         expected *= pq.b[i] - pq.b[j]
                 out = omega_q_pairing(opq, dual_q[i], primal_q[i])
-                assert out.coefficient(0) == expected
+                assert out.coeffs[0] == expected
                 assert all(c == 0 for c in out.coeffs[1 : N - r + 1])
     _ok(5, "pairing constants match the product formulas, zero tails, r in 2..4")
 
@@ -200,13 +199,14 @@ def test_06_dual_parameter_maps():
     for r in (2, 3, 4):
         p = sample_theta_params(rng, r)
         star = dual_operator(hg_operator(p))
-        assert star == hg_operator(p.dual()).scale(dual_unit(p))
+        assert star == scale_operator(hg_operator(p.dual()), dual_unit(p))
         for g in solution_basis(p, N, "dual").entries:
             assert annihilates(star, g, r)
         pq = sample_qshift_params(rng, r, Q(2, 3))
         star_q = q_dual_operator(qhg_operator(pq))
         dp, rho = pq.dual(), argument_rescale(pq)
-        assert star_q == rescale_operator(qhg_operator(dp), rho).scale(q_dual_unit(pq))
+        rescaled = rescale_operator(qhg_operator(dp), rho)
+        assert star_q == scale_operator(rescaled, q_dual_unit(pq))
         for g in q_solution_basis(pq, N, "dual").entries:
             assert annihilates(star_q, g, r)
     _ok(6, "dual parameter maps with unit and rescale, dual-basis annihilation")
@@ -248,15 +248,15 @@ def test_09_kernel_properties():
             Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(12)
         ]
         a = TruncatedSeries(coeffs)
-        product = a * series_invert(a)
+        product = mul(a, series_invert(a))
         assert product == TruncatedSeries([1] + [0] * 12)
     p = sample_theta_params(random.Random(17), 3)
     basis = list(solution_basis(p, 12, "primal").entries)
-    assert wronskian_det(basis).body.coefficient(0) != 0
+    assert wronskian_det(basis).body.coeffs[0] != 0
     pq = sample_qshift_params(random.Random(17), 3, Q(1, 2))
     basis_q = list(q_solution_basis(pq, 12, "primal").entries)
-    assert wronskian_det(basis_q).body.coefficient(0) != 0
+    assert wronskian_det(basis_q).body.coeffs[0] != 0
     f = basis[0]
-    dependent = wronskian_det([f, f.scale(Q(2))])
+    dependent = wronskian_det([f, scale(f, Q(2))])
     assert all(c == 0 for c in dependent.body.coeffs)
     _ok(9, "kernel round trips, series inversion, Wronskian rank detection")

@@ -1,0 +1,113 @@
+"""The package holds only what a command runs: every function and method
+defined in src/hgdual/ is entered by some command of the command line,
+run in-process under sys.setprofile in both families, on passing and
+failing cells and on the forked kernel split. What only the tests call
+lives in tests/oracles.py."""
+
+import inspect
+import os
+import sys
+
+import hgdual
+import hgdual.cli
+import hgdual.exact_algebra as exact_algebra
+import hgdual.hypergeometric as hg
+import hgdual.q_hypergeometric as qhg
+import hgdual.skew_operators as skew_operators
+
+MODULES = (hgdual, hgdual.cli, exact_algebra, hg, qhg, skew_operators)
+
+# Value semantics and small conveniences the package types keep although
+# no command needs them.
+VALUE_METHODS = ("__eq__", "__hash__", "__repr__")
+ALLOWED = {
+    "exact_algebra.RationalFunction.constant",
+    "skew_operators.CellResult.label",
+    "skew_operators.VerificationReport.passed",
+    "skew_operators.VerificationReport.failures",
+}
+
+COMMANDS = (
+    "--version",
+    "dual --hg -r 3 --seed 1",
+    "dual --qhg --q 2/3 -r 3 --seed 1 --format json",
+    "dual --hg --a 1/2,1/3 --b 1/5 --format json",
+    "dual --qhg --q 1/2 --a 1/3,1/7 --b 1/5",
+    "psi --hg -r 3 --seed 1 --check",
+    "psi --qhg --q 1/2 -r 3 --seed 1 --check --format json",
+    "matrix --hg -r 3 --seed 1 --check --format json",
+    "matrix --qhg --q 1/2 -r 3 --seed 1 --check",
+    "verify --hg -r 2 --seed 1",
+    "verify --qhg --q 1/2 -r 2 --seed 1 --format json",
+    "verify --hg -r 2 --order 9",
+    "paper-regression",
+    "paper-regression --format json",
+)
+# Each also once with a failing cell, and once with the kernel split over
+# two forked processes.
+FAILING = ("verify --hg -r 2 --seed 1", "verify --qhg --q 1/2 -r 2 --format json")
+SPLIT = ("verify --hg -r 2 --seed 1", "verify --qhg --q 1/2 -r 2 --seed 1")
+
+
+def _defined():
+    """{code object: module.qualified name} of every function and method
+    written in the package's source, properties and static methods
+    included."""
+    found = {}
+    for module in MODULES:
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [(None, obj)]
+            for name, member in members:
+                func = getattr(member, "fget", None) or getattr(
+                    member, "__func__", member
+                )
+                code = getattr(func, "__code__", None)
+                # dataclass methods are compiled from a string
+                if code is not None and code.co_filename == module.__file__:
+                    where = module.__name__.removeprefix("hgdual.")
+                    found[code] = "%s.%s" % (where, func.__qualname__)
+    return found
+
+
+def _run(argv):
+    try:
+        hgdual.cli.main(argv.split())
+    except SystemExit:
+        pass
+
+
+def test_every_package_function_is_entered(capsys, monkeypatch):
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for argv in COMMANDS:
+            _run(argv)
+        for family in (hg, qhg):
+            with monkeypatch.context() as mp:
+                # every cell but (0, 0) passes
+                mp.setattr(family, "structure_ok", lambda p, k, l, e: (k, l) != (0, 0))
+                _run(FAILING[family is qhg])
+        with monkeypatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            mp.setattr(exact_algebra, "FORK_MIN_WORK", 0)
+            for argv in SPLIT:
+                _run(argv)
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    unreached = sorted(
+        name
+        for code, name in _defined().items()
+        if code not in entered
+        and name not in ALLOWED
+        and name.rsplit(".", 1)[-1] not in VALUE_METHODS
+    )
+    assert unreached == []
+

@@ -11,22 +11,12 @@ from sympy.polys.matrices import DomainMatrix
 
 import hgdual.hypergeometric as hg
 import hgdual.q_hypergeometric as qhg
-import hgdual.skew_operators as skew_operators
 from hgdual.cli import MAX_R
-from hgdual.exact_algebra import (
-    Polynomial,
-    Q,
-    RationalFunction,
-    TruncatedSeries,
-    poly_lcm,
-    series_of_ratfunc,
-)
+from hgdual.exact_algebra import Polynomial, Q, RationalFunction, TruncatedSeries
 from hgdual.skew_operators import (
     QSHIFT,
     THETA,
     DegenerateOperator,
-    OffsetMismatch,
-    SingularMatrix,
     SkewOperator,
     TaggedSeries,
     _triangular_order,
@@ -35,12 +25,21 @@ from hgdual.skew_operators import (
     matrix_identity,
     matrix_invert,
     matrix_mul,
-    omega_pairing,
-    omega_q_pairing,
     psi_matrix,
     psi_q_matrix,
     q_dual_operator,
+)
+from oracles import (
+    OffsetMismatch,
+    apply,
+    bareiss_det,
+    entrywise_mul,
+    gauss_jordan_invert,
+    omega_pairing,
+    omega_q_pairing,
+    scale,
     wronskian_det,
+    zero,
 )
 
 
@@ -87,45 +86,45 @@ class TestApplyTheta:
     def test_eigenvector(self):
         op = SkewOperator(THETA, [0, 1])
         s = TaggedSeries(THETA, Q(-3, 4), TruncatedSeries([1, 0, 0]))
-        out = op.apply(s)
+        out = apply(op, s)
         assert out.offset == Q(-3, 4)
         assert out.body == TruncatedSeries([Q(-3, 4), 0, 0])
 
     def test_theta_on_plain_body(self):
         op = SkewOperator(THETA, [0, 1])
-        assert op.apply(plain([1, 1, 1])).body == TruncatedSeries([0, 1, 2])
+        assert apply(op, plain([1, 1, 1])).body == TruncatedSeries([0, 1, 2])
 
     def test_factored_product_constant_term(self):
         # (theta + 1/2)(theta + 1/3) = theta^2 + (5/6) theta + 1/6
         op = SkewOperator(THETA, [Q(1, 6), Q(5, 6), 1])
-        assert op.apply(plain([1, 0, 0])).body == TruncatedSeries([Q(1, 6), 0, 0])
+        assert apply(op, plain([1, 0, 0])).body == TruncatedSeries([Q(1, 6), 0, 0])
         # on z^n the factored form multiplies by (n + 1/2)(n + 1/3)
-        out = op.apply(plain([1, 1, 1]))
+        out = apply(op, plain([1, 1, 1]))
         assert out.body == TruncatedSeries([Q(1, 6), 2, Q(35, 6)])
 
     def test_polynomial_coefficients_enter_as_series(self):
         # L = (1 - z) acts by multiplication
         op = SkewOperator(THETA, [rf(1, -1)])
-        assert op.apply(plain([1, 1, 1])).body == TruncatedSeries([1, 0, 0])
+        assert apply(op, plain([1, 1, 1])).body == TruncatedSeries([1, 0, 0])
 
 
 class TestApplyQShift:
     def test_shift_scales_coefficients(self):
         op = SkewOperator(QSHIFT, [0, 1], q=Q(1, 2))
         s = plain([1, 1, 1], QSHIFT, Q(1, 2))
-        assert op.apply(s).body == TruncatedSeries([1, Q(1, 2), Q(1, 4)])
+        assert apply(op, s).body == TruncatedSeries([1, Q(1, 2), Q(1, 4)])
 
     def test_eigenvalue_on_prefactor(self):
         # Delta(z^[mu] * 1) = mu z^[mu]
         op = SkewOperator(QSHIFT, [0, 1], q=Q(1, 2))
         mu = Q(5, 2)
         s = TaggedSeries(QSHIFT, mu, TruncatedSeries([1, 0]), Q(1, 2))
-        assert op.apply(s).body == TruncatedSeries([mu, 0])
+        assert apply(op, s).body == TruncatedSeries([mu, 0])
 
     def test_double_shift(self):
         op = SkewOperator(QSHIFT, [0, 0, 1], q=Q(1, 2))
         s = plain([0, 1, 0], QSHIFT, Q(1, 2))
-        assert op.apply(s).body == TruncatedSeries([0, Q(1, 4), 0])
+        assert apply(op, s).body == TruncatedSeries([0, Q(1, 4), 0])
 
 
 class TestDualOperator:
@@ -338,9 +337,9 @@ class TestPairings:
 
     def test_zero_inputs_pair_to_zero(self):
         op = SkewOperator(THETA, [rf(1), rf(1), rf(1)])
-        g = TaggedSeries(THETA, Q(1, 3), TruncatedSeries.zero(5))
-        f = TaggedSeries(THETA, Q(-1, 3), TruncatedSeries.zero(5))
-        assert omega_pairing(op, g, f).is_zero
+        g = TaggedSeries(THETA, Q(1, 3), zero(5))
+        f = TaggedSeries(THETA, Q(-1, 3), zero(5))
+        assert omega_pairing(op, g, f) == zero(5)
 
 
 class TestWronskian:
@@ -350,13 +349,13 @@ class TestWronskian:
 
     def test_dependent_rows_vanish(self):
         s = TaggedSeries(THETA, Q(1, 2), TruncatedSeries([1, 2, 3, 4]))
-        w = wronskian_det([s, s.scale(5)])
-        assert w.body.is_zero
+        w = wronskian_det([s, scale(s, 5)])
+        assert w.body == zero(3)
 
     def test_independent_rows(self):
         one = plain([1, 0, 0])
         zee = plain([0, 1, 0])
-        assert not wronskian_det([one, zee]).body.is_zero
+        assert wronskian_det([one, zee]).body != zero(2)
 
     def test_qshift_mode(self):
         q = Q(1, 2)
@@ -364,42 +363,7 @@ class TestWronskian:
         s2 = TaggedSeries(QSHIFT, Q(3), TruncatedSeries([1, 0, 1]), q)
         w = wronskian_det([s1, s2])
         assert w.offset == Q(6)
-        assert not w.body.is_zero
-
-
-def gauss_jordan_invert(mat):
-    """The general inverse that matrix_invert is compared with: one
-    fraction-free (Bareiss) Gauss-Jordan pass takes [C | I] to [d I | T]
-    with T C = d I, where C = den * mat, so mat^{-1} = den T / d. Every
-    entry stays a minor of [C | I], so the divisions by the previous pivot
-    are exact."""
-    n = len(mat)
-    den = Polynomial.one()
-    for row in mat:
-        for e in row:
-            den = poly_lcm(den, e.den)
-    m = [
-        [e.num * den.divexact(e.den) for e in row]
-        + [Polynomial.one() if i == j else Polynomial.zero() for j in range(n)]
-        for i, row in enumerate(mat)
-    ]
-    prev = Polynomial.one()
-    for k in range(n):
-        swap = next((i for i in range(k, n) if not m[i][k].is_zero), None)
-        if swap is None:
-            raise SingularMatrix("matrix has zero determinant")
-        m[k], m[swap] = m[swap], m[k]
-        pivot, pivot_row = m[k][k], m[k]
-        for i, row in enumerate(m):
-            if i == k:
-                continue
-            factor = row[k]
-            row[k + 1 :] = [
-                (pivot * x - factor * y).divexact(prev)
-                for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
-            ]
-        prev = pivot
-    return [[RationalFunction(den * x, prev) for x in row[n:]] for row in m]
+        assert w.body != zero(2)
 
 
 class TestMatrixInvert:
@@ -409,7 +373,7 @@ class TestMatrixInvert:
 
     def test_singular_rejected(self):
         m = [[rf(1), rf(1)], [rf(2), rf(2)]]
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(ValueError, match="not triangular"):
             matrix_invert(m)
 
     def test_multiply_back_2x2(self):
@@ -419,10 +383,11 @@ class TestMatrixInvert:
     def test_no_triangular_order_rejected(self):
         # det = 1 - z - z^2, but every row has two nonzero entries
         m = [[rf(1, 1), rf(0, 1)], [rf(1), rf(1, -1)]]
-        assert not matrix_det(m).is_zero
-        with pytest.raises(ValueError, match="not triangular") as exc:
+        assert not bareiss_det(m).is_zero
+        with pytest.raises(ValueError, match="not triangular"):
             matrix_invert(m)
-        assert not isinstance(exc.value, SingularMatrix)
+        with pytest.raises(ValueError, match="not triangular"):
+            matrix_det(m)
 
     def test_singular_determinant_is_zero(self):
         m = [
@@ -430,9 +395,11 @@ class TestMatrixInvert:
             [rf(2, 4), rf(0, 2), rf(6)],
             [rf(1), rf(1), rf(1)],
         ]
-        assert matrix_det(m).is_zero
-        with pytest.raises(SingularMatrix):
+        assert bareiss_det(m).is_zero
+        with pytest.raises(ValueError, match="not triangular"):
             matrix_invert(m)
+        with pytest.raises(ValueError, match="not triangular"):
+            matrix_det(m)
 
 
 def _shuffled_triangular(data, n):
@@ -462,14 +429,6 @@ def test_shuffled_triangular_inverse_matches_gauss_jordan(data, n):
     assert inv == gauss_jordan_invert(m)
     assert matrix_mul(m, inv) == matrix_identity(n)
     assert matrix_mul(inv, m) == matrix_identity(n)
-
-
-def bareiss_det(mat):
-    """matrix_det by its fraction-free elimination, with the product of the
-    pivots of a triangular order switched off."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(skew_operators, "_triangular_order", lambda m: None)
-        return matrix_det(mat)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -506,18 +465,6 @@ def test_det_of_psi_divides_nothing(monkeypatch, family, base):
 
     monkeypatch.setattr(Polynomial, "divexact", refuse)
     assert [matrix_det(family.psi(op)) for op in ops] == expected
-
-
-def entrywise_mul(a, b):
-    """The product with every entry a sum of RationalFunction products,
-    each product and each sum normalised by a gcd."""
-    return [
-        [
-            sum((a[i][k] * b[k][j] for k in range(len(b))), RationalFunction.zero())
-            for j in range(len(b[0]))
-        ]
-        for i in range(len(a))
-    ]
 
 
 @settings(max_examples=40, deadline=None)
@@ -617,14 +564,16 @@ def test_matrix_inverse_multiplies_back(entries):
     ]
     try:
         inv = gauss_jordan_invert(m)
-    except SingularMatrix:
-        with pytest.raises(SingularMatrix):
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match="not triangular"):
             matrix_invert(m)
         return
     assert matrix_mul(m, inv) == matrix_identity(3)
     assert matrix_mul(inv, m) == matrix_identity(3)
     # the triangular inverse agrees where it applies and refuses the rest
-    if _triangular_order(m) is None:
+    try:
+        _triangular_order(m)
+    except ValueError:
         with pytest.raises(ValueError, match="not triangular"):
             matrix_invert(m)
     else:
