@@ -15,7 +15,7 @@ from dataclasses import fields
 from . import __version__
 from . import hypergeometric as hg
 from . import q_hypergeometric as qhg
-from .exact_algebra import Q, kernel_workers, rat
+from .exact_algebra import Q, Polynomial, kernel_workers, rat
 from .hypergeometric import DegenerateParameters
 from .skew_operators import (
     DegenerateOperator,
@@ -71,6 +71,9 @@ def coeff_strings(poly):
 
 
 def ratfunc_json(f):
+    """A RationalFunction, or a Polynomial over the denominator 1."""
+    if isinstance(f, Polynomial):
+        return {"num": coeff_strings(f), "den": ["1"]}
     return {"num": coeff_strings(f.num), "den": coeff_strings(f.den)}
 
 

@@ -1,6 +1,6 @@
 """Exact arithmetic kernel: rationals, univariate polynomials in z, reduced
-rational functions, truncated power series, and the bilinear-sum kernel
-that forms their products over integers.
+rational functions as values, truncated power series, and the bilinear-sum
+kernel that forms their products over integers.
 
 Everything is exact; there is no floating point anywhere in this package.
 Values are immutable after construction, so all operations are pure.
@@ -215,17 +215,14 @@ def poly_lcm(p, q):
 
 
 class RationalFunction:
-    """Reduced ratio of polynomials with a monic denominator."""
+    """Reduced ratio num / den of two polynomials, den nonzero and made
+    monic. The package forms polynomials and normalises each fraction it
+    outputs once, here: the entries of M = Psi^{-1}, of M Psi and of the
+    closed forms they are compared with."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if not isinstance(num, Polynomial):
-            num = Polynomial((rat(num),))
-        if den is None:
-            den = Polynomial.one()
-        elif not isinstance(den, Polynomial):
-            den = Polynomial((rat(den),))
+    def __init__(self, num, den):
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
@@ -242,15 +239,11 @@ class RationalFunction:
 
     @staticmethod
     def zero():
-        return RationalFunction(Polynomial(()))
+        return RationalFunction(Polynomial(()), Polynomial.one())
 
     @staticmethod
     def one():
-        return RationalFunction(Polynomial.one())
-
-    @staticmethod
-    def constant(c):
-        return RationalFunction(Polynomial((rat(c),)))
+        return RationalFunction(Polynomial.one(), Polynomial.one())
 
     @property
     def is_zero(self):
@@ -263,40 +256,6 @@ class RationalFunction:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def __add__(self, other):
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other):
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, RationalFunction):
-            return RationalFunction(self.num * other.num, self.den * other.den)
-        return RationalFunction(self.num.scale(other), self.den)
-
-    def __truediv__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def theta(self):
-        """z * d/dz, the Euler derivation: (theta(n) d - n theta(d)) / d^2."""
-        return RationalFunction(
-            self.num.theta() * self.den - self.num * self.den.theta(),
-            self.den * self.den,
-        )
-
-    def scale_arg(self, c):
-        """Substitute z -> c*z and re-normalize."""
-        return RationalFunction(self.num.scale_arg(c), self.den.scale_arg(c))
 
     def __repr__(self):
         if self.den == Polynomial.one():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import lcm
+from math import comb, lcm, prod
 
 from .exact_algebra import (
     Polynomial,
@@ -140,9 +140,7 @@ def hg_operator(p):
     r = p.r
     eb = elementary_symmetric([x - 1 for x in p.b])
     ea = elementary_symmetric(p.a)
-    coeffs = [
-        RationalFunction(Polynomial([eb[r - j], -ea[r - j]])) for j in range(r + 1)
-    ]
+    coeffs = [Polynomial([eb[r - j], -ea[r - j]]) for j in range(r + 1)]
     return SkewOperator(THETA, coeffs)
 
 
@@ -158,11 +156,7 @@ def argument_rescale(p):
 
 def psi_det(op):
     """The closed form det Psi = A_r^r."""
-    r = op.order
-    acc = op.coefficient(r)
-    for _ in range(r - 1):
-        acc = acc * op.coefficient(r)
-    return acc
+    return prod([op.coefficient(op.order)] * op.order, start=Polynomial.one())
 
 
 def term_ratio_series(upper, lower, N, factor):
@@ -222,14 +216,7 @@ def solution_basis(p, N, which="primal"):
 
 def c_constants(p):
     """Diagonal pairing constants C_ii = prod_{j != i} (b_j - b_i)."""
-    out = []
-    for i in range(p.r):
-        acc = Q(1)
-        for j in range(p.r):
-            if j != i:
-                acc *= p.b[j] - p.b[i]
-        out.append(acc)
-    return out
+    return [prod(p.b[j] - p.b[i] for j in range(p.r) if j != i) for i in range(p.r)]
 
 
 def duality_weights(p):
@@ -241,14 +228,16 @@ def duality_matrix(p):
     return matrix_invert(psi_matrix(hg_operator(p)))
 
 
-def _one_minus_z():
-    return RationalFunction(Polynomial([1, -1]))
+def _over_one_minus_z(num, k):
+    """The RationalFunction num(z) / (1 - z)^k, num a coefficient list."""
+    return RationalFunction(
+        Polynomial(num), Polynomial([(-1) ** i * comb(k, i) for i in range(k + 1)])
+    )
 
 
 def anti_diagonal_entry(l):
     """Value of the duality matrix on the k+l = r-1 anti-diagonal."""
-    sign = Q(1) if l % 2 == 0 else Q(-1)
-    return RationalFunction(Polynomial([sign])) / _one_minus_z()
+    return _over_one_minus_z([(-1) ** l], 1)
 
 
 def bilinear_sum_table(p, N):
@@ -314,13 +303,11 @@ def closed_form_m_r2(p):
     [[0, -1/(1-z)], [1/(1-z), (b_1+b_2-2+(1-a_1-a_2)z)/(1-z)^2]]."""
     if p.r != 2:
         raise ValueError("closed form is for r = 2")
-    omz = _one_minus_z()
     a1, a2 = p.a
     b1, b2 = p.b
-    corner = RationalFunction(Polynomial([b1 + b2 - 2, 1 - a1 - a2])) / (omz * omz)
     return [
-        [RationalFunction.zero(), -anti_diagonal_entry(0)],
-        [anti_diagonal_entry(0), corner],
+        [RationalFunction.zero(), anti_diagonal_entry(1)],
+        [anti_diagonal_entry(0), _over_one_minus_z([b1 + b2 - 2, 1 - a1 - a2], 2)],
     ]
 
 
@@ -333,24 +320,17 @@ def closed_form_m_r3(p):
     eb = elementary_symmetric(p.b)
     e1a, e2a = ea[1], ea[2]
     e1b, e2b = eb[1], eb[2]
-    omz = _one_minus_z()
-    omz2 = omz * omz
-    omz3 = omz2 * omz
-    inv = RationalFunction.one() / omz
     big_a = (e1b - 2) * (e1b - 2) - e2b + 2
     big_b = e2b - 2 * (e1a - Q(1, 2)) * (e1b - Q(5, 2)) + e2a - Q(5, 2)
     big_c = (e1a - 1) * (e1a - 1) - e2a
+    zero = RationalFunction.zero()
     return [
-        [RationalFunction.zero(), RationalFunction.zero(), inv],
+        [zero, zero, anti_diagonal_entry(2)],
+        [zero, anti_diagonal_entry(1), _over_one_minus_z([3 - e1b, -2 + e1a], 2)],
         [
-            RationalFunction.zero(),
-            -inv,
-            RationalFunction(Polynomial([3 - e1b, -2 + e1a])) / omz2,
-        ],
-        [
-            inv,
-            RationalFunction(Polynomial([-3 + e1b, 1 - e1a])) / omz2,
-            RationalFunction(Polynomial([big_a, big_b, big_c])) / omz3,
+            anti_diagonal_entry(0),
+            _over_one_minus_z([-3 + e1b, 1 - e1a], 2),
+            _over_one_minus_z([big_a, big_b, big_c], 3),
         ],
     ]
 

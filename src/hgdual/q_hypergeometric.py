@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from math import prod
 
 from .exact_algebra import (
     Polynomial,
@@ -51,7 +52,8 @@ def check_base(q):
 
 def genericity_check_q(b, q):
     """Decide exactly whether some quotient b_i/b_j is an integral power
-    of q. Returns (True, None) when generic, else (False, (i, j, k)).
+    of q. Returns a witness (i, j, k) with b_i/b_j = q^k, or None when
+    there is none.
 
     Since 0 < q < 1, powers q^k decrease strictly, so the search over k
     terminates as soon as q^k drops below the candidate ratio.
@@ -64,7 +66,7 @@ def genericity_check_q(b, q):
                 continue
             ratio = b[i] / b[j]
             if ratio == 1:
-                return False, (i, j, 0)
+                return i, j, 0
             if ratio < 0:
                 continue
             target = ratio if ratio < 1 else 1 / ratio
@@ -72,10 +74,10 @@ def genericity_check_q(b, q):
             power = q
             while power >= target:
                 if power == target:
-                    return False, (i, j, k if ratio < 1 else -k)
+                    return i, j, k if ratio < 1 else -k
                 power *= q
                 k += 1
-    return True, None
+    return None
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,8 @@ class QHGParams:
             raise DegenerateParameters("the last lower parameter must equal q")
         if any(x == 0 for x in a) or any(x == 0 for x in b):
             raise DegenerateParameters("parameters must be nonzero")
-        ok, witness = genericity_check_q(b, q)
-        if not ok:
+        witness = genericity_check_q(b, q)
+        if witness is not None:
             i, j, k = witness
             raise DegenerateParameters(
                 "b_%d / b_%d equals q^%d" % (i + 1, j + 1, k)
@@ -130,13 +132,7 @@ class QHGParams:
 def argument_rescale(p):
     """rho = a_1...a_r q^{r-2} / (b_1...b_{r-1}): the dual solutions live in
     the variable rho*z."""
-    num = Q(1)
-    for x in p.a:
-        num *= x
-    den = Q(1)
-    for x in p.b[:-1]:
-        den *= x
-    return num * p.q ** (p.r - 2) / den
+    return prod(p.a) * p.q ** (p.r - 2) / prod(p.b[:-1])
 
 
 def sample_params(rng, r, q):
@@ -157,35 +153,23 @@ def qhg_operator(p):
     coeffs = []
     for j in range(r + 1):
         c = Polynomial([eb[j] / p.q**j, -ea[j]])
-        if j % 2 == 1:
-            c = -c
-        coeffs.append(RationalFunction(c))
+        coeffs.append(-c if j % 2 == 1 else c)
     return SkewOperator(QSHIFT, coeffs, q=p.q)
 
 
 def q_dual_unit(p):
     """q_dual_operator(qhg_operator(p)) = unit * (dual-parameter operator
     with argument rescaled by rho)."""
-    prod = Q(1)
-    for x in p.b:
-        prod *= x
-    unit = prod / p.q**p.r
-    if p.r % 2 == 1:
-        unit = -unit
-    return unit
+    unit = prod(p.b) / p.q**p.r
+    return -unit if p.r % 2 == 1 else unit
 
 
 def psi_det(op):
     """The closed form det Psi_q = (-1)^r Delta^{-1}(A_r) prod_{k<r-1} Delta^k(A_0)."""
     r, q = op.order, op.q
-    acc = op.coefficient(r).scale_arg(1 / q)
-    if r % 2:
-        acc = -acc
-    power = Q(1)
-    for _ in range(r - 1):
-        acc = acc * op.coefficient(0).scale_arg(power)
-        power *= q
-    return acc
+    lead = op.coefficient(r).scale_arg(1 / q)
+    shifts = (op.coefficient(0).scale_arg(q**k) for k in range(r - 1))
+    return prod(shifts, start=-lead if r % 2 else lead)
 
 
 def _shifted(q, N):
@@ -218,14 +202,13 @@ def q_solution_basis(p, N, which="primal"):
 
 def q_c_constants(p):
     """Diagonal pairing constants (1/(q b_i^{r-2})) prod_{j != i} (b_i - b_j)."""
-    out = []
-    for i in range(p.r):
-        acc = Q(1) / (p.q * p.b[i] ** (p.r - 2))
-        for j in range(p.r):
-            if j != i:
-                acc *= p.b[i] - p.b[j]
-        out.append(acc)
-    return out
+    return [
+        prod(
+            (p.b[i] - p.b[j] for j in range(p.r) if j != i),
+            start=1 / (p.q * p.b[i] ** (p.r - 2)),
+        )
+        for i in range(p.r)
+    ]
 
 
 def q_duality_weights(p):
@@ -239,15 +222,10 @@ def q_duality_matrix(p):
 
 def corner_entry(p):
     """The (r-1, 0) closed form (-1)^{r+1} q^r / (b_1...b_r - a_1...a_r q^{r-1} z)."""
-    pb = Q(1)
-    for x in p.b:
-        pb *= x
-    pa = Q(1)
-    for x in p.a:
-        pa *= x
     sign = Q(1) if (p.r + 1) % 2 == 0 else Q(-1)
     return RationalFunction(
-        Polynomial([sign * p.q**p.r]), Polynomial([pb, -pa * p.q ** (p.r - 1)])
+        Polynomial([sign * p.q**p.r]),
+        Polynomial([prod(p.b), -prod(p.a) * p.q ** (p.r - 1)]),
     )
 
 

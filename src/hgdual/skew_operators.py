@@ -4,14 +4,16 @@ their determinant, inverse and products, and the cell-by-cell verifier of
 both families.
 
 Operators are stored in theta-form (Theta mode, L = sum A_j theta^j) or
-shift-form (QShift mode, L = sum A_j Delta^j) with RationalFunction
-coefficients A_0..A_r.
+shift-form (QShift mode, L = sum A_j Delta^j) with Polynomial coefficients
+A_0..A_r, so the pairing matrices and their determinants are polynomial.
+The entries of M = Psi^{-1} are the first fractions; each is a
+RationalFunction, normalised once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from operator import mul
 
 from .exact_algebra import (
@@ -26,6 +28,7 @@ from .exact_algebra import (
 THETA = "theta"
 QSHIFT = "qshift"
 
+_ZERO = Polynomial.zero()
 _RF_ZERO = RationalFunction.zero()
 
 
@@ -59,17 +62,16 @@ def _checked_base(mode, q):
 class SkewOperator:
     """L = A_r X^r + ... + A_1 X + A_0 with X = theta or X = Delta.
 
-    coeffs holds A_0..A_r ascending; trailing zero coefficients are stripped,
-    so order = len(coeffs)-1 and A_r != 0. QShift mode carries the base q
-    with 0 < q < 1.
+    coeffs holds the Polynomials A_0..A_r ascending; trailing zero
+    coefficients are stripped, so order = len(coeffs)-1 and A_r != 0.
+    QShift mode carries the base q with 0 < q < 1.
     """
 
     __slots__ = ("mode", "coeffs", "q")
 
     def __init__(self, mode, coeffs, q=None):
         q = _checked_base(mode, q)
-        cs = [c if isinstance(c, RationalFunction) else RationalFunction.constant(c)
-              for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1].is_zero:
             cs.pop()
         if not cs:
@@ -85,7 +87,7 @@ class SkewOperator:
         return len(self.coeffs) - 1
 
     def coefficient(self, j):
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else _RF_ZERO
+        return self.coeffs[j] if 0 <= j < len(self.coeffs) else _ZERO
 
     def __eq__(self, other):
         if not isinstance(other, SkewOperator):
@@ -146,11 +148,11 @@ def dual_operator(op):
     if op.mode != THETA:
         raise ValueError("dual_operator expects a Theta operator")
     r = op.order
-    total = [_RF_ZERO] * (r + 1)
+    total = [_ZERO] * (r + 1)
     for j, a in enumerate(op.coeffs):
         cur = [a]
         for _ in range(j):
-            nxt = [_RF_ZERO] * (len(cur) + 1)
+            nxt = [_ZERO] * (len(cur) + 1)
             for k, c in enumerate(cur):
                 # (-theta) o (c theta^k) = -theta(c) theta^k - c theta^{k+1}
                 nxt[k] = nxt[k] - c.theta()
@@ -178,15 +180,6 @@ def q_dual_operator(op):
     return SkewOperator(QSHIFT, coeffs, q)
 
 
-def _polynomial_form(op):
-    """(coefficients, wrap): the numerators and RationalFunction when all
-    coefficients of op are polynomials, so that the entries of a pairing
-    matrix take no gcd until wrapped; else the coefficients, unwrapped."""
-    if all(c.den.degree == 0 for c in op.coeffs):
-        return [c.num for c in op.coeffs], RationalFunction
-    return list(op.coeffs), lambda e: e
-
-
 def _theta_power(a, l):
     for _ in range(l):
         a = a.theta()
@@ -200,16 +193,15 @@ def psi_matrix(op):
     """
     if op.mode != THETA:
         raise ValueError("psi_matrix expects a Theta operator")
-    r = op.order
-    a, wrap = _polynomial_form(op)
-    mat = [[_RF_ZERO] * r for _ in range(r)]
+    r, a = op.order, op.coeffs
+    mat = [[_ZERO] * r for _ in range(r)]
     for i in range(r):
         for j in range(r - i):
             terms = [
                 _theta_power(a[i + j + l + 1], l) * ((-1) ** (i + l) * comb(l + i, i))
                 for l in range(r - i - j)
             ]
-            mat[i][j] = wrap(sum(terms[1:], terms[0]))
+            mat[i][j] = sum(terms[1:], terms[0])
     return mat
 
 
@@ -222,13 +214,12 @@ def psi_q_matrix(op):
     r = op.order
     if op.coefficient(0).is_zero:
         raise DegenerateOperator("A_0 = 0")
-    q = op.q
-    a, wrap = _polynomial_form(op)
-    mat = [[_RF_ZERO] * r for _ in range(r)]
-    mat[0][r - 1] = wrap(-a[r].scale_arg(q**-1))
+    q, a = op.q, op.coeffs
+    mat = [[_ZERO] * r for _ in range(r)]
+    mat[0][r - 1] = -a[r].scale_arg(q**-1)
     for k in range(1, r):
         for j in range(r - k):
-            mat[k][k - 1 + j] = wrap(a[j].scale_arg(q ** (k - 1)))
+            mat[k][k - 1 + j] = a[j].scale_arg(q ** (k - 1))
     return mat
 
 
@@ -239,13 +230,13 @@ def _odd(perm):
 
 
 def _cleared(mat):
-    """(C, den): the polynomial matrix C = den * mat, den the monic lcm of
-    the entry denominators."""
+    """(C, den): the polynomial matrix C = den * mat of a RationalFunction
+    matrix, den the monic lcm of the entry denominators."""
     den = Polynomial.one()
     for row in mat:
         for e in row:
             den = poly_lcm(den, e.den)
-    # no division where the denominator is den already, as in Psi
+    # no division where the denominator is den already
     return [
         [e.num if e.den == den else e.num * den.divexact(e.den) for e in row]
         for row in mat
@@ -253,16 +244,14 @@ def _cleared(mat):
 
 
 def matrix_det(mat):
-    """Exact determinant of a square RationalFunction matrix that is upper
+    """Exact determinant of a square polynomial matrix that is upper
     triangular up to row and column order (_triangular_order), as Psi of
-    either family is: the signed product of the pivots. Raises ValueError
-    for any other matrix, a singular one included.
+    either family is: the signed product of the pivots, a Polynomial.
+    Raises ValueError for any other matrix, a singular one included.
     """
     rows, cols = _triangular_order(mat)
-    num, den = Polynomial.one(), Polynomial.one()
-    for i, j in zip(rows, cols):
-        num, den = num * mat[i][j].num, den * mat[i][j].den
-    return RationalFunction(-num if _odd(rows) != _odd(cols) else num, den)
+    det = prod((mat[i][j] for i, j in zip(rows, cols)), start=Polynomial.one())
+    return -det if _odd(rows) != _odd(cols) else det
 
 
 def _triangular_order(mat):
@@ -293,27 +282,27 @@ def _triangular_order(mat):
 
 
 def matrix_invert(mat):
-    """Exact inverse of a square RationalFunction matrix that is upper
-    triangular up to row and column order (_triangular_order), as the
-    pairing matrices of both families are. Raises ValueError for any other
-    matrix, a singular one included.
+    """Exact inverse, as a RationalFunction matrix, of a square polynomial
+    matrix that is upper triangular up to row and column order
+    (_triangular_order), as the pairing matrices of both families are.
+    Raises ValueError for any other matrix, a singular one included.
 
-    In that order, C = den * mat (_cleared) has pivots d_m = C_mm, and
-    C^{-1} has the entries Y_ij / prod_{m=i..j} d_m with Y_jj = 1 and
+    Taken in that order, mat is an upper triangular C with pivots
+    d_m = C_mm, and C^{-1} has the entries Y_ij / prod_{m=i..j} d_m with
+    Y_jj = 1 and
     Y_ij = -sum_{k=i+1..j} C_ik Y_kj prod_{m=i+1..k-1} d_m for i < j. The
-    Y_ij take polynomial products and sums only, and each entry of
-    mat^{-1} = den C^{-1} is normalised once: a gcd over every
-    intermediate rational function would run on swollen coefficients.
+    Y_ij take polynomial products and sums only, and each entry is
+    normalised once: a gcd over every intermediate rational function would
+    run on swollen coefficients.
     """
     rows, cols = _triangular_order(mat)
-    cleared, den = _cleared(mat)
-    c = [[cleared[i][j] for j in cols] for i in rows]
+    c = [[mat[i][j] for j in cols] for i in rows]
     n = len(mat)
     out = [[_RF_ZERO] * n for _ in range(n)]
     for j in range(n):
         y = {j: Polynomial.one()}
         pivots = c[j][j]
-        out[cols[j]][rows[j]] = RationalFunction(den, pivots)
+        out[cols[j]][rows[j]] = RationalFunction(Polynomial.one(), pivots)
         for i in range(j - 1, -1, -1):
             # Horner in the pivots: term k picks up d_(i+1) ... d_(k-1)
             acc = Polynomial.zero()
@@ -323,19 +312,18 @@ def matrix_invert(mat):
                     acc = acc + c[i][k] * y[k]
             y[i] = -acc
             pivots = c[i][i] * pivots
-            out[cols[i]][rows[j]] = RationalFunction(den * y[i], pivots)
+            out[cols[i]][rows[j]] = RationalFunction(y[i], pivots)
     return out
 
 
 def matrix_mul(a, b):
-    """The product a b of RationalFunction matrices: the polynomial
-    matrices C_a = den_a a and C_b = den_b b (_cleared) are multiplied, and
-    entry (i, j) is normalised once, as (C_a C_b)_ij / (den_a den_b)."""
-    ca, den_a = _cleared(a)
-    cb, den_b = _cleared(b)
-    den = den_a * den_b
-    cols, zero = list(zip(*cb)), Polynomial.zero()
-    return [[RationalFunction(sum(map(mul, r, c), zero), den) for c in cols] for r in ca]
+    """The product a b of a RationalFunction matrix a, such as M, and a
+    polynomial matrix b, such as Psi: the polynomial matrix C = den a
+    (_cleared) is multiplied by b, and entry (i, j) is normalised once, as
+    (C b)_ij / den."""
+    ca, den = _cleared(a)
+    cols = list(zip(*b))
+    return [[RationalFunction(sum(map(mul, r, c), _ZERO), den) for c in cols] for r in ca]
 
 
 def matrix_identity(n):

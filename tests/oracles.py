@@ -1,11 +1,12 @@
 """The direct definitions the tests compare the package with. No command
 runs any of them, so they live here and not in src/hgdual/: Fraction
-arithmetic on TruncatedSeries, rational reconstruction, the action of an
-operator and the pairings and Wronskians on tagged series, the r^3
-bilinear sum, the general determinant and inverse, and the closed forms
-of the Pochhammer symbols and the dual bases. Each is a free function on
-the package's values."""
+arithmetic on TruncatedSeries, field arithmetic on RationalFunction,
+rational reconstruction, the action of an operator and the pairings and
+Wronskians on tagged series, the r^3 bilinear sum, the general
+determinant and inverse, and the closed forms of the Pochhammer symbols
+and the dual bases. Each is a free function on the package's values."""
 
+from functools import reduce
 from itertools import permutations
 
 from hgdual.exact_algebra import (
@@ -14,7 +15,6 @@ from hgdual.exact_algebra import (
     Q,
     RationalFunction,
     TruncatedSeries,
-    poly_lcm,
     rat,
 )
 from hgdual.hypergeometric import hypergeometric_body, term_ratio_series
@@ -95,13 +95,16 @@ def series_invert(a):
     return TruncatedSeries(out)
 
 
+def series_of_poly(p, order):
+    """The Polynomial p as a series through z^order."""
+    return TruncatedSeries([p.coefficient(i) for i in range(order + 1)])
+
+
 def series_of_ratfunc(f, order):
     """Maclaurin expansion of a rational function through z^order."""
     if f.den.coefficient(0) == 0:
         raise PoleAtOrigin("rational function has a pole at z = 0")
-    num = TruncatedSeries([f.num.coefficient(i) for i in range(order + 1)])
-    den = TruncatedSeries([f.den.coefficient(i) for i in range(order + 1)])
-    return mul(num, series_invert(den))
+    return mul(series_of_poly(f.num, order), series_invert(series_of_poly(f.den, order)))
 
 
 def _kernel_vector(rows, ncols):
@@ -163,7 +166,7 @@ def rational_reconstruct(a, num_deg, den_deg):
         den = Polynomial(qvec)
         if den.is_zero:
             continue
-        prod = mul(TruncatedSeries([den.coefficient(i) for i in range(order + 1)]), a)
+        prod = mul(series_of_poly(den, order), a)
         f = RationalFunction(Polynomial(prod.coeffs[: num_deg + 1]), den)
         if f.den.coefficient(0) == 0 or f.num.degree > num_deg:
             continue
@@ -175,16 +178,52 @@ def rational_reconstruct(a, num_deg, den_deg):
     )
 
 
+# -- RationalFunction arithmetic: each result normalised by the constructor
+
+
+def ratfunc(p):
+    """The Polynomial p as a RationalFunction over the denominator 1."""
+    return RationalFunction(p, Polynomial.one())
+
+
+def rf_add(f, g):
+    return RationalFunction(f.num * g.den + g.num * f.den, f.den * g.den)
+
+
+def rf_sub(f, g):
+    return RationalFunction(f.num * g.den - g.num * f.den, f.den * g.den)
+
+
+def rf_mul(f, g):
+    return RationalFunction(f.num * g.num, f.den * g.den)
+
+
+def rf_div(f, g):
+    if g.is_zero:
+        raise ZeroDivisionError("division by the zero rational function")
+    return RationalFunction(f.num * g.den, f.den * g.num)
+
+
+def rf_theta(f):
+    """z * d/dz, the Euler derivation: (theta(n) d - n theta(d)) / d^2."""
+    return RationalFunction(
+        f.num.theta() * f.den - f.num * f.den.theta(), f.den * f.den
+    )
+
+
+def rf_scale_arg(f, c):
+    """Substitute z -> c*z."""
+    return RationalFunction(f.num.scale_arg(c), f.den.scale_arg(c))
+
+
 # -- operators and tagged series
 
 
 def scale_operator(op, unit):
-    """Multiply every coefficient by a nonzero rational function."""
-    if not isinstance(unit, RationalFunction):
-        unit = RationalFunction.constant(unit)
-    if unit.is_zero:
+    """Multiply every coefficient by a nonzero rational."""
+    if rat(unit) == 0:
         raise ValueError("unit must be nonzero")
-    return SkewOperator(op.mode, [c * unit for c in op.coeffs], op.q)
+    return SkewOperator(op.mode, [c.scale(unit) for c in op.coeffs], op.q)
 
 
 def rescale_operator(op, c):
@@ -213,7 +252,7 @@ def apply(op, s):
     acc, term = zero(n), s
     for a in op.coeffs:
         if not a.is_zero:
-            acc = add(acc, mul(series_of_ratfunc(a, n), term.body))
+            acc = add(acc, mul(series_of_poly(a, n), term.body))
         term = advance(term)
     return TaggedSeries(op.mode, s.offset, acc, s.q)
 
@@ -247,7 +286,7 @@ def _pairing(mat, g, f):
     for i in range(r):
         for j in range(r):
             if not mat[i][j].is_zero:
-                term = mul(series_of_ratfunc(mat[i][j], n), pair_product(gs[i], fs[j]))
+                term = mul(series_of_poly(mat[i][j], n), pair_product(gs[i], fs[j]))
                 acc = add(acc, term)
     return acc
 
@@ -307,30 +346,21 @@ def bilinear_sum(weights, f_powers, g_powers, k, l):
     return acc
 
 
-# -- matrices of rational functions
-
-
-def _cleared(mat):
-    """(C, den): C = den * mat over the monic lcm den of the denominators."""
-    den = Polynomial.one()
-    for row in mat:
-        for e in row:
-            den = poly_lcm(den, e.den)
-    return [[e.num * den.divexact(e.den) for e in row] for row in mat], den
+# -- polynomial matrices
 
 
 def bareiss_det(mat):
-    """Exact determinant by fraction-free (Bareiss) elimination of
-    C = den * mat below the pivots: each step divides by the previous
-    pivot, and every entry stays a minor of C, so the divisions are exact
-    and the last pivot is det C up to the sign of the row swaps."""
-    m, den = _cleared(mat)
+    """Exact determinant of a polynomial matrix by fraction-free (Bareiss)
+    elimination below the pivots: each step divides by the previous pivot,
+    and every entry stays a minor of mat, so the divisions are exact and
+    the last pivot is the determinant up to the sign of the row swaps."""
+    m = [list(row) for row in mat]
     n = len(m)
     sign, prev = 1, Polynomial.one()
     for k in range(n):
         swap = next((i for i in range(k, n) if not m[i][k].is_zero), None)
         if swap is None:
-            return RationalFunction.zero()
+            return Polynomial.zero()
         if swap != k:
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
@@ -342,22 +372,18 @@ def bareiss_det(mat):
                 for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
             ]
         prev = pivot
-    full_den = Polynomial.one()
-    for _ in range(n):
-        full_den = full_den * den
-    return RationalFunction(prev if sign == 1 else -prev, full_den)
+    return prev if sign == 1 else -prev
 
 
 def gauss_jordan_invert(mat):
-    """The general inverse: one fraction-free (Bareiss) Gauss-Jordan pass
-    takes [C | I] to [d I | T] with T C = d I, where C = den * mat, so
-    mat^{-1} = den T / d. Every entry stays a minor of [C | I], so the
-    divisions by the previous pivot are exact."""
+    """The general inverse of a polynomial matrix, as RationalFunctions:
+    one fraction-free (Bareiss) Gauss-Jordan pass takes [mat | I] to
+    [d I | T] with T mat = d I, so mat^{-1} = T / d. Every entry stays a
+    minor of [mat | I], so the divisions by the previous pivot are exact."""
     n = len(mat)
-    c, den = _cleared(mat)
     m = [
-        row + [Polynomial.one() if i == j else Polynomial.zero() for j in range(n)]
-        for i, row in enumerate(c)
+        list(row) + [Polynomial.one() if i == j else Polynomial.zero() for j in range(n)]
+        for i, row in enumerate(mat)
     ]
     prev = Polynomial.one()
     for k in range(n):
@@ -375,15 +401,15 @@ def gauss_jordan_invert(mat):
                 for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
             ]
         prev = pivot
-    return [[RationalFunction(den * x, prev) for x in row[n:]] for row in m]
+    return [[RationalFunction(x, prev) for x in row[n:]] for row in m]
 
 
 def entrywise_mul(a, b):
-    """The product with every entry a sum of RationalFunction products,
-    each product and each sum normalised by a gcd."""
+    """The product of two RationalFunction matrices with every entry a sum
+    of products, each product and each sum normalised by a gcd."""
     return [
         [
-            sum((a[i][k] * b[k][j] for k in range(len(b))), RationalFunction.zero())
+            reduce(rf_add, (rf_mul(a[i][k], b[k][j]) for k in range(len(b))))
             for j in range(len(b[0]))
         ]
         for i in range(len(a))

@@ -81,8 +81,7 @@ def _random_poly(rng, max_deg):
 
 
 def _random_theta_operator(rng, r):
-    coeffs = [RationalFunction(_random_poly(rng, 2)) for _ in range(r + 1)]
-    return SkewOperator(THETA, coeffs)
+    return SkewOperator(THETA, [_random_poly(rng, 2) for _ in range(r + 1)])
 
 
 def test_01_theta_duality_suite():
@@ -138,7 +137,7 @@ def test_03_closed_form_matrix_regression():
 
 def test_04_pairing_matrix_structure():
     rng = random.Random(404)
-    one_minus_z = RationalFunction(Polynomial([1, -1]))
+    one_minus_z = Polynomial([1, -1])
     for r in (2, 3, 4, 5):
         ops = [_random_theta_operator(rng, r) for _ in range(3)]
         ops.append(hg_operator(sample_theta_params(rng, r)))

@@ -43,6 +43,8 @@ from oracles import (
     advance,
     bilinear_sum,
     mul,
+    ratfunc,
+    rf_add,
     scale,
     series_of_ratfunc,
     sub,
@@ -185,7 +187,7 @@ class TestIntegerMatchesRatfunc:
     def test_pole_at_origin_rejected(self):
         with pytest.raises(PoleAtOrigin):
             integer_first_mismatch(
-                [1, 0, 0], 1, RationalFunction(1, Polynomial([0, 1]))
+                [1, 0, 0], 1, RationalFunction(Polynomial([1]), Polynomial([0, 1]))
             )
 
 
@@ -556,7 +558,7 @@ def _perturb(monkeypatch, module, name, cell):
     def perturbed(p):
         m = original(p)
         k, l = cell
-        m[k][l] = m[k][l] + RationalFunction(Polynomial([0] * (k + l) + [1]))
+        m[k][l] = rf_add(m[k][l], ratfunc(Polynomial([0] * (k + l) + [1])))
         seen["entry"] = m[k][l]
         return m
 

@@ -30,6 +30,7 @@ from hgdual.exact_algebra import (
     kernel_workers,
     rat,
 )
+from oracles import ratfunc, rf_add
 
 
 def run(capsys, *argv):
@@ -342,7 +343,7 @@ class TestVerify:
 
         def perturbed(p):
             m = original(p)
-            m[0][1] = m[0][1] + RationalFunction(Polynomial([0, 0, 0, 1]))
+            m[0][1] = rf_add(m[0][1], ratfunc(Polynomial([0, 0, 0, 1])))
             return m
 
         monkeypatch.setattr(hg, "duality_matrix", perturbed)
@@ -448,10 +449,12 @@ class TestMatrixChecks:
     matrix or a wrong closed form still fails them."""
 
     def test_psi_check_takes_no_rational_theta(self, capsys, monkeypatch):
-        def refuse(self):
-            raise AssertionError("RationalFunction.theta on the psi path")
+        # Psi and det Psi are polynomials: the psi path builds no
+        # RationalFunction, so it takes no rational theta either
+        def refuse(self, *args):
+            raise AssertionError("RationalFunction on the psi path")
 
-        monkeypatch.setattr(RationalFunction, "theta", refuse)
+        monkeypatch.setattr(RationalFunction, "__init__", refuse)
         code, out, _ = run(capsys, "psi", "--hg", "-r", "5", "--check")
         assert code == EXIT_PASS
         assert "check det: pass" in out
@@ -460,7 +463,7 @@ class TestMatrixChecks:
     def test_wrong_closed_form_fails(self, capsys, monkeypatch, family, args):
         def lead_power(op):
             # A_r^(r-1): one factor short in theta, wrong in q
-            acc = RationalFunction.one()
+            acc = Polynomial.one()
             for _ in range(op.order - 1):
                 acc = acc * op.coefficient(op.order)
             return acc
@@ -476,7 +479,7 @@ class TestMatrixChecks:
 
         def perturbed(mat):
             out = invert(mat)
-            out[1][0] = out[1][0] + RationalFunction(Polynomial([0, 1]))
+            out[1][0] = rf_add(out[1][0], ratfunc(Polynomial([0, 1])))
             return out
 
         monkeypatch.setattr(hgdual.cli, "matrix_invert", perturbed)
@@ -524,6 +527,20 @@ PINNED_STDOUT = [
     ('verify --qhg --q 2/3 -r 3 --seed 1 --format json', '965dccffbc87e02143d7fe6d8a3985bf9dc82e6629eb18f148432e3ce722f2e2'),
     ('paper-regression --format text', '9eaa8f52e04102b6fa32d7b0ee76d13739295b75b170e7066ac1575504dc9a26'),
     ('paper-regression --format json', '1b3a7f2df886b739eb11b6a7e54cce0147588e93f5aa3c51986cc37d346d87e6'),
+    # recorded before operators, Psi and det Psi were built on polynomials:
+    # the smallest and a large order, and the base 1/2
+    ('dual --hg -r 2 --seed 2 --format json', '188586545daeb1e2a0ffe0319d22c73397ba517c5e652b2603fa4117069bf6c6'),
+    ('psi --hg -r 2 --seed 2 --check --format json', '5351a87c2e561fe902136a3415739436a1db1f5f164eb77a53537e169dba328d'),
+    ('matrix --hg -r 2 --seed 2 --check --format json', 'e6348e1738fbb60e79878270db06080aca7f5dc0e0688cfa17b43736ad224cf1'),
+    ('dual --hg -r 7 --seed 2 --format json', 'b352e27d824c63c59ed5ec6abf65ab3999439da7de59bd321252bd44caf9bdf3'),
+    ('psi --hg -r 7 --seed 2 --check --format json', '91cd74adc42a2e4313f266ffa63dc0397cab520dedc97e5ab41ce00e8b4a6696'),
+    ('matrix --hg -r 7 --seed 2 --check --format json', '3e8cbd63ca0873d37cf687237dbd3a601f2c696621ca513218df1b1ab63ba27b'),
+    ('dual --qhg --q 1/2 -r 2 --seed 2 --format json', '939e2f7fc9a66602127a3ad8c6544be4fdb505e023c2b5f4b9b6be6f6cfa5e08'),
+    ('psi --qhg --q 1/2 -r 2 --seed 2 --check --format json', '27d27297a05217cc4d0365dca7030ff5e07bb03f993fc0354fe959d62cb32f82'),
+    ('matrix --qhg --q 1/2 -r 2 --seed 2 --check --format json', '0beb6388bf06f442e2f6298aef04c3df5bd428a74c6f5c2cdef41d2be04611e4'),
+    ('dual --qhg --q 1/2 -r 7 --seed 2 --format json', 'bc4d85853a7d69791c2d4b6122a87f3fe6d50d82ce8381fd4cc0cb1d4ee331c3'),
+    ('psi --qhg --q 1/2 -r 7 --seed 2 --check --format json', '6cadf222dc6e912df1c379bc84b0a6351419ed7da64eac5f455598495401de3f'),
+    ('matrix --qhg --q 1/2 -r 7 --seed 2 --check --format json', '0fd5006a0367af3b3f53cceeeb486d95443e05fbc972c74255d0c4288d20cc20'),
 ]
 
 

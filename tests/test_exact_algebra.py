@@ -19,7 +19,14 @@ from oracles import (
     add,
     evaluate,
     mul,
+    ratfunc,
     rational_reconstruct,
+    rf_add,
+    rf_div,
+    rf_mul,
+    rf_scale_arg,
+    rf_sub,
+    rf_theta,
     series_invert,
     series_of_ratfunc,
     sub,
@@ -127,26 +134,26 @@ def theta_by_quotient_rule(f):
 @given(_nonzero_polys, _nonzero_polys, _nonzero_polys)
 def test_rational_theta_is_the_quotient_rule(num, den, p):
     f = RationalFunction(num, den)
-    assert f.theta() == theta_by_quotient_rule(f)
+    assert rf_theta(f) == theta_by_quotient_rule(f)
     assert p.theta() == P(0, 1) * derivative(p)
-    assert RationalFunction(p).theta() == RationalFunction(p.theta())
+    assert rf_theta(ratfunc(p)) == ratfunc(p.theta())
 
 
 class TestRationalFunction:
     def test_cancellation(self):
         f = RationalFunction(P(1), P(1, -1))
-        assert (f + (-f)).is_zero
+        assert rf_sub(f, f).is_zero
 
     def test_inverse_pair(self):
         f = RationalFunction(P(1), P(1, -1))
-        g = RationalFunction(P(1, -1))
-        assert f * g == RationalFunction.one()
+        g = ratfunc(P(1, -1))
+        assert rf_mul(f, g) == RationalFunction.one()
 
     def test_common_denominator(self):
         f = RationalFunction(P(1), P(1, -1))
         g = RationalFunction(P(1), P(1, 1))
         # 2/(1-z^2), with the denominator made monic
-        assert f + g == RationalFunction(P(2), P(1, 0, -1))
+        assert rf_add(f, g) == RationalFunction(P(2), P(1, 0, -1))
 
     def test_den_monic_and_reduced(self):
         f = RationalFunction(P(0, 2), P(0, 0, 4))
@@ -156,15 +163,17 @@ class TestRationalFunction:
     def test_theta(self):
         # theta(1/(1-z)) = z/(1-z)^2
         f = RationalFunction(P(1), P(1, -1))
-        assert f.theta() == RationalFunction(P(0, 1), P(1, -2, 1))
+        assert rf_theta(f) == RationalFunction(P(0, 1), P(1, -2, 1))
 
     def test_scale_arg(self):
         f = RationalFunction(P(1), P(1, -1))
-        assert f.scale_arg(Q(1, 2)) == RationalFunction(P(1), P(1, Q(-1, 2)))
+        assert rf_scale_arg(f, Q(1, 2)) == RationalFunction(P(1), P(1, Q(-1, 2)))
 
     def test_division_by_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            RationalFunction.one() / RationalFunction.zero()
+            rf_div(RationalFunction.one(), RationalFunction.zero())
+        with pytest.raises(ZeroDivisionError):
+            RationalFunction(P(1), Polynomial.zero())
 
 
 class TestTruncatedSeries:
@@ -196,7 +205,7 @@ class TestSeriesOfRatfunc:
         assert series_of_ratfunc(f, 3) == S(1, 1, 1, 1)
 
     def test_polynomial(self):
-        f = RationalFunction(P(1, -1))
+        f = ratfunc(P(1, -1))
         assert series_of_ratfunc(f, 2) == S(1, -1, 0)
 
     def test_geometric_squared(self):
@@ -232,7 +241,7 @@ class TestRationalReconstruct:
     def test_constant(self):
         c = Q(-5, 3)
         f = rational_reconstruct(S(c, 0, 0, 0), 0, 0)
-        assert f == RationalFunction.constant(c)
+        assert f == ratfunc(P(c))
 
     def test_pade(self):
         f = rational_reconstruct(S(1, 2, 3, 4, 5, 6), 0, 2)
@@ -270,11 +279,11 @@ def ratfunc_strategy():
 @settings(max_examples=40, deadline=None)
 @given(f=ratfunc_strategy(), g=ratfunc_strategy(), h=ratfunc_strategy())
 def test_ratfunc_field_axioms(f, g, h):
-    assert (f + g) + h == f + (g + h)
-    assert f * (g + h) == f * g + f * h
-    assert f * g == g * f
+    assert rf_add(rf_add(f, g), h) == rf_add(f, rf_add(g, h))
+    assert rf_mul(f, rf_add(g, h)) == rf_add(rf_mul(f, g), rf_mul(f, h))
+    assert rf_mul(f, g) == rf_mul(g, f)
     if not g.is_zero:
-        assert (f / g) * g == f
+        assert rf_mul(rf_div(f, g), g) == f
 
 
 @settings(max_examples=40, deadline=None)
@@ -284,8 +293,8 @@ def test_series_expansion_is_ring_map(f, g):
         return
     N = 8
     sf, sg = series_of_ratfunc(f, N), series_of_ratfunc(g, N)
-    assert series_of_ratfunc(f * g, N) == mul(sf, sg)
-    assert series_of_ratfunc(f + g, N) == add(sf, sg)
+    assert series_of_ratfunc(rf_mul(f, g), N) == mul(sf, sg)
+    assert series_of_ratfunc(rf_add(f, g), N) == add(sf, sg)
 
 
 @settings(max_examples=40, deadline=None)

@@ -37,14 +37,25 @@ from oracles import (
     gauss_jordan_invert,
     omega_pairing,
     omega_q_pairing,
+    ratfunc,
+    rf_add,
+    rf_mul,
+    rf_scale_arg,
+    rf_sub,
+    rf_theta,
     scale,
     wronskian_det,
     zero,
 )
 
 
-def rf(*coeffs):
-    return RationalFunction(Polynomial(coeffs))
+def P(*coeffs):
+    return Polynomial(coeffs)
+
+
+def lifted(mat):
+    """A polynomial matrix as RationalFunctions over the denominator 1."""
+    return [[ratfunc(e) for e in row] for row in mat]
 
 
 def plain(coeffs, mode=THETA, q=None):
@@ -55,7 +66,7 @@ def plain(coeffs, mode=THETA, q=None):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda mode, q: SkewOperator(mode, [rf(1), rf(1)], q),
+        lambda mode, q: SkewOperator(mode, [P(1), P(1)], q),
         lambda mode, q: TaggedSeries(mode, 1, TruncatedSeries([1, 0]), q),
     ],
     ids=["operator", "series"],
@@ -77,26 +88,26 @@ def test_mode_and_base_checked(build, mode, q, message):
 @pytest.mark.parametrize("q", [Q(1), Q(0), Q(3, 2)], ids=["q=1", "q=0", "q=3/2"])
 def test_operator_base_outside_unit_interval(q):
     with pytest.raises(DegenerateOperator):
-        SkewOperator(QSHIFT, [rf(1), rf(1)], q)
+        SkewOperator(QSHIFT, [P(1), P(1)], q)
     # a tagged series carries any base; only the operator needs 0 < q < 1
     assert TaggedSeries(QSHIFT, 1, TruncatedSeries([1, 0]), q).q == q
 
 
 class TestApplyTheta:
     def test_eigenvector(self):
-        op = SkewOperator(THETA, [0, 1])
+        op = SkewOperator(THETA, [P(0), P(1)])
         s = TaggedSeries(THETA, Q(-3, 4), TruncatedSeries([1, 0, 0]))
         out = apply(op, s)
         assert out.offset == Q(-3, 4)
         assert out.body == TruncatedSeries([Q(-3, 4), 0, 0])
 
     def test_theta_on_plain_body(self):
-        op = SkewOperator(THETA, [0, 1])
+        op = SkewOperator(THETA, [P(0), P(1)])
         assert apply(op, plain([1, 1, 1])).body == TruncatedSeries([0, 1, 2])
 
     def test_factored_product_constant_term(self):
         # (theta + 1/2)(theta + 1/3) = theta^2 + (5/6) theta + 1/6
-        op = SkewOperator(THETA, [Q(1, 6), Q(5, 6), 1])
+        op = SkewOperator(THETA, [P(Q(1, 6)), P(Q(5, 6)), P(1)])
         assert apply(op, plain([1, 0, 0])).body == TruncatedSeries([Q(1, 6), 0, 0])
         # on z^n the factored form multiplies by (n + 1/2)(n + 1/3)
         out = apply(op, plain([1, 1, 1]))
@@ -104,44 +115,44 @@ class TestApplyTheta:
 
     def test_polynomial_coefficients_enter_as_series(self):
         # L = (1 - z) acts by multiplication
-        op = SkewOperator(THETA, [rf(1, -1)])
+        op = SkewOperator(THETA, [P(1, -1)])
         assert apply(op, plain([1, 1, 1])).body == TruncatedSeries([1, 0, 0])
 
 
 class TestApplyQShift:
     def test_shift_scales_coefficients(self):
-        op = SkewOperator(QSHIFT, [0, 1], q=Q(1, 2))
+        op = SkewOperator(QSHIFT, [P(0), P(1)], q=Q(1, 2))
         s = plain([1, 1, 1], QSHIFT, Q(1, 2))
         assert apply(op, s).body == TruncatedSeries([1, Q(1, 2), Q(1, 4)])
 
     def test_eigenvalue_on_prefactor(self):
         # Delta(z^[mu] * 1) = mu z^[mu]
-        op = SkewOperator(QSHIFT, [0, 1], q=Q(1, 2))
+        op = SkewOperator(QSHIFT, [P(0), P(1)], q=Q(1, 2))
         mu = Q(5, 2)
         s = TaggedSeries(QSHIFT, mu, TruncatedSeries([1, 0]), Q(1, 2))
         assert apply(op, s).body == TruncatedSeries([mu, 0])
 
     def test_double_shift(self):
-        op = SkewOperator(QSHIFT, [0, 0, 1], q=Q(1, 2))
+        op = SkewOperator(QSHIFT, [P(0), P(0), P(1)], q=Q(1, 2))
         s = plain([0, 1, 0], QSHIFT, Q(1, 2))
         assert apply(op, s).body == TruncatedSeries([0, Q(1, 4), 0])
 
 
 class TestDualOperator:
     def test_first_order_constant(self):
-        op = SkewOperator(THETA, [0, 1])
-        assert dual_operator(op) == SkewOperator(THETA, [0, -1])
+        op = SkewOperator(THETA, [P(0), P(1)])
+        assert dual_operator(op) == SkewOperator(THETA, [P(0), P(-1)])
 
     def test_order_one_with_function_coefficient(self):
         # (-theta) o a = -a theta - theta(a)
-        a = rf(0, 1)
-        op = SkewOperator(THETA, [rf(1), a])
+        a = P(0, 1)
+        op = SkewOperator(THETA, [P(1), a])
         d = dual_operator(op)
         assert d.coefficient(1) == -a
-        assert d.coefficient(0) == rf(1) - a.theta()
+        assert d.coefficient(0) == P(1) - a.theta()
 
     def test_involution_small(self):
-        op = SkewOperator(THETA, [rf(2, 1), rf(0, 3), rf(1, -1)])
+        op = SkewOperator(THETA, [P(2, 1), P(0, 3), P(1, -1)])
         assert dual_operator(dual_operator(op)) == op
 
 
@@ -154,9 +165,9 @@ class TestDualOperator:
     )
 )
 def test_dual_operator_is_involutive(data):
-    coeffs = [RationalFunction(Polynomial(c)) for c in data]
+    coeffs = [Polynomial(c) for c in data]
     if coeffs[-1].is_zero:
-        coeffs[-1] = RationalFunction.one()
+        coeffs[-1] = Polynomial.one()
     op = SkewOperator(THETA, coeffs)
     assert dual_operator(dual_operator(op)) == op
 
@@ -164,7 +175,7 @@ def test_dual_operator_is_involutive(data):
 class TestQDualOperator:
     def test_r2_formula(self):
         q = Q(1, 2)
-        a0, a1, a2 = rf(1, -1), rf(2, 3), rf(1, 0, 5)
+        a0, a1, a2 = P(1, -1), P(2, 3), P(1, 0, 5)
         op = SkewOperator(QSHIFT, [a0, a1, a2], q=q)
         d = q_dual_operator(op)
         assert d.coefficient(0) == a2.scale_arg(1 / q)
@@ -173,19 +184,19 @@ class TestQDualOperator:
 
     def test_constant_coefficients_reverse(self):
         q = Q(1, 3)
-        op = SkewOperator(QSHIFT, [rf(2), rf(3), rf(5), rf(7)], q=q)
+        op = SkewOperator(QSHIFT, [P(2), P(3), P(5), P(7)], q=q)
         d = q_dual_operator(op)
-        assert [d.coefficient(k) for k in range(4)] == [rf(7), rf(5), rf(3), rf(2)]
+        assert [d.coefficient(k) for k in range(4)] == [P(7), P(5), P(3), P(2)]
 
     def test_zero_a0_rejected(self):
-        op = SkewOperator(QSHIFT, [rf(0), rf(1), rf(1)], q=Q(1, 2))
+        op = SkewOperator(QSHIFT, [P(0), P(1), P(1)], q=Q(1, 2))
         with pytest.raises(DegenerateOperator):
             q_dual_operator(op)
 
 
 class TestPsiMatrix:
     def test_r2_closed_form(self):
-        a0, a1, a2 = rf(0, -1), rf(2, 3), rf(1, -1)
+        a0, a1, a2 = P(0, -1), P(2, 3), P(1, -1)
         op = SkewOperator(THETA, [a0, a1, a2])
         psi = psi_matrix(op)
         assert psi[0][0] == a1 - a2.theta()
@@ -194,7 +205,7 @@ class TestPsiMatrix:
         assert psi[1][1].is_zero
 
     def test_det_is_leading_coefficient_power(self):
-        op = SkewOperator(THETA, [rf(0, 5), rf(2, 3), rf(7, 1), rf(1, -1)])
+        op = SkewOperator(THETA, [P(0, 5), P(2, 3), P(7, 1), P(1, -1)])
         det = matrix_det(psi_matrix(op))
         lead = op.coefficient(3)
         assert det == lead * lead * lead
@@ -209,9 +220,9 @@ class TestPsiMatrix:
     )
 )
 def test_psi_structure(data):
-    coeffs = [RationalFunction(Polynomial(c)) for c in data]
+    coeffs = [Polynomial(c) for c in data]
     if coeffs[-1].is_zero:
-        coeffs[-1] = rf(1, 1)
+        coeffs[-1] = P(1, 1)
     op = SkewOperator(THETA, coeffs)
     r = op.order
     psi = psi_matrix(op)
@@ -224,7 +235,7 @@ def test_psi_structure(data):
                 expect = lead if i % 2 == 0 else -lead
                 assert psi[i][j] == expect
     det = matrix_det(psi)
-    power = RationalFunction.one()
+    power = Polynomial.one()
     for _ in range(r):
         power = power * lead
     assert det == power
@@ -233,7 +244,7 @@ def test_psi_structure(data):
 class TestPsiQMatrix:
     def test_r2_structure(self):
         q = Q(1, 2)
-        a0, a1, a2 = rf(1, -1), rf(2, 3), rf(1, 0, 5)
+        a0, a1, a2 = P(1, -1), P(2, 3), P(1, 0, 5)
         op = SkewOperator(QSHIFT, [a0, a1, a2], q=q)
         psi = psi_q_matrix(op)
         assert psi[0][0].is_zero
@@ -243,7 +254,7 @@ class TestPsiQMatrix:
 
     def test_r3_structure(self):
         q = Q(1, 2)
-        a = [rf(1, -1), rf(2, 3), rf(4, 1), rf(1, 0, 5)]
+        a = [P(1, -1), P(2, 3), P(4, 1), P(1, 0, 5)]
         op = SkewOperator(QSHIFT, a, q=q)
         psi = psi_q_matrix(op)
         assert [psi[0][0].is_zero, psi[0][1].is_zero] == [True, True]
@@ -258,7 +269,7 @@ class TestPsiQMatrix:
     def test_det_closed_form(self):
         q = Q(1, 3)
         for r in (2, 3, 4):
-            coeffs = [rf(1, k + 1) for k in range(r + 1)]
+            coeffs = [P(1, k + 1) for k in range(r + 1)]
             op = SkewOperator(QSHIFT, coeffs, q=q)
             det = matrix_det(psi_q_matrix(op))
             expect = op.coefficient(r).scale_arg(1 / q)
@@ -273,29 +284,29 @@ def psi_by_rational_functions(op):
     """The Theta pairing matrix as psi_matrix formed it before building on
     polynomials: every term a RationalFunction, every theta and every sum
     normalised by a gcd."""
-    r = op.order
-    mat = [[RationalFunction.zero()] * r for _ in range(r)]
+    r, zero = op.order, RationalFunction.zero()
+    mat = [[zero] * r for _ in range(r)]
     for i in range(r):
         for j in range(r - i):
-            acc = RationalFunction.zero()
+            acc = zero
             for l in range(r - i - j):
-                term = op.coefficient(i + j + l + 1)
+                term = ratfunc(op.coefficient(i + j + l + 1))
                 for _ in range(l):
-                    term = term.theta()
-                term = term * RationalFunction.constant(Q(comb(l + i, i)))
-                acc = acc + term if l % 2 == 0 else acc - term
-            mat[i][j] = -acc if i % 2 else acc
+                    term = rf_theta(term)
+                term = rf_mul(term, ratfunc(P(comb(l + i, i))))
+                acc = rf_add(acc, term) if l % 2 == 0 else rf_sub(acc, term)
+            mat[i][j] = rf_sub(zero, acc) if i % 2 else acc
     return mat
 
 
 def psi_q_by_rational_functions(op):
-    """The QShift pairing matrix by RationalFunction.scale_arg."""
-    r, q = op.order, op.q
-    mat = [[RationalFunction.zero()] * r for _ in range(r)]
-    mat[0][r - 1] = -op.coefficient(r).scale_arg(q**-1)
+    """The QShift pairing matrix by rf_scale_arg on RationalFunctions."""
+    r, q, zero = op.order, op.q, RationalFunction.zero()
+    mat = [[zero] * r for _ in range(r)]
+    mat[0][r - 1] = rf_sub(zero, rf_scale_arg(ratfunc(op.coefficient(r)), q**-1))
     for k in range(1, r):
         for j in range(r - k):
-            mat[k][k - 1 + j] = op.coefficient(j).scale_arg(q ** (k - 1))
+            mat[k][k - 1 + j] = rf_scale_arg(ratfunc(op.coefficient(j)), q ** (k - 1))
     return mat
 
 
@@ -305,20 +316,30 @@ _NONZERO = _POLY.filter(lambda p: not p.is_zero)
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), r=st.integers(1, 6), polynomial=st.booleans())
-def test_psi_matches_rational_function_construction(data, r, polynomial):
-    """Both pairing matrices against their construction on
-    RationalFunctions, for polynomial coefficients (the entries are built
-    as polynomials) and for rational ones."""
-    den = st.just(Polynomial.one()) if polynomial else _DEN
-    coeffs = [
-        RationalFunction(data.draw(_NONZERO if k in (0, r) else _POLY), data.draw(den))
-        for k in range(r + 1)
-    ]
+@given(data=st.data(), r=st.integers(1, 6))
+def test_psi_matches_rational_function_construction(data, r):
+    """Both pairing matrices, built on polynomials, against their
+    construction on RationalFunctions."""
+    coeffs = [data.draw(_NONZERO if k in (0, r) else _POLY) for k in range(r + 1)]
     op = SkewOperator(THETA, coeffs)
-    assert psi_matrix(op) == psi_by_rational_functions(op)
+    assert lifted(psi_matrix(op)) == psi_by_rational_functions(op)
     op = SkewOperator(QSHIFT, coeffs, q=data.draw(st.sampled_from([Q(1, 2), Q(2, 3)])))
-    assert psi_q_matrix(op) == psi_q_by_rational_functions(op)
+    assert lifted(psi_q_matrix(op)) == psi_q_by_rational_functions(op)
+
+
+@pytest.mark.parametrize(
+    "family, base", [(hg, ()), (qhg, (Q(2, 3),))], ids=["theta", "qshift"]
+)
+def test_operators_psi_and_det_are_polynomials(family, base):
+    """Only M and the closed forms are fractions: the coefficients of an
+    operator and of its dual, the entries of Psi and det Psi, both by
+    matrix_det and by the closed form, are Polynomials."""
+    for r in (2, 5):
+        op = family.operator(family.sample_params(random.Random(r), r, *base))
+        psi = family.psi(op)
+        values = [*op.coeffs, *family.dual_operator(op).coeffs, *sum(psi, [])]
+        values += [matrix_det(psi), family.psi_det(op)]
+        assert {type(v) for v in values} == {Polynomial}
 
 
 class TestPairings:
@@ -329,14 +350,14 @@ class TestPairings:
         ids=["theta", "qshift"],
     )
     def test_offset_mismatch_rejected(self, mode, q, pairing):
-        op = SkewOperator(mode, [rf(1), rf(1), rf(1)], q)
+        op = SkewOperator(mode, [P(1), P(1), P(1)], q)
         g = TaggedSeries(mode, Q(1, 3), TruncatedSeries([1, 0]), q)
         f = TaggedSeries(mode, Q(1, 2), TruncatedSeries([1, 0]), q)
         with pytest.raises(OffsetMismatch):
             pairing(op, g, f)
 
     def test_zero_inputs_pair_to_zero(self):
-        op = SkewOperator(THETA, [rf(1), rf(1), rf(1)])
+        op = SkewOperator(THETA, [P(1), P(1), P(1)])
         g = TaggedSeries(THETA, Q(1, 3), zero(5))
         f = TaggedSeries(THETA, Q(-1, 3), zero(5))
         assert omega_pairing(op, g, f) == zero(5)
@@ -368,21 +389,21 @@ class TestWronskian:
 
 class TestMatrixInvert:
     def test_identity(self):
-        eye = matrix_identity(3)
-        assert matrix_invert(eye) == eye
+        eye = [[P(int(i == j)) for j in range(3)] for i in range(3)]
+        assert matrix_invert(eye) == matrix_identity(3)
 
     def test_singular_rejected(self):
-        m = [[rf(1), rf(1)], [rf(2), rf(2)]]
+        m = [[P(1), P(1)], [P(2), P(2)]]
         with pytest.raises(ValueError, match="not triangular"):
             matrix_invert(m)
 
     def test_multiply_back_2x2(self):
-        m = [[rf(1, 1), rf(0, 1)], [rf(1), rf(1, -1)]]
-        assert matrix_mul(m, gauss_jordan_invert(m)) == matrix_identity(2)
+        m = [[P(1, 1), P(0, 1)], [P(1), P(1, -1)]]
+        assert matrix_mul(gauss_jordan_invert(m), m) == matrix_identity(2)
 
     def test_no_triangular_order_rejected(self):
         # det = 1 - z - z^2, but every row has two nonzero entries
-        m = [[rf(1, 1), rf(0, 1)], [rf(1), rf(1, -1)]]
+        m = [[P(1, 1), P(0, 1)], [P(1), P(1, -1)]]
         assert not bareiss_det(m).is_zero
         with pytest.raises(ValueError, match="not triangular"):
             matrix_invert(m)
@@ -391,9 +412,9 @@ class TestMatrixInvert:
 
     def test_singular_determinant_is_zero(self):
         m = [
-            [rf(1, 2), rf(0, 1), rf(3)],
-            [rf(2, 4), rf(0, 2), rf(6)],
-            [rf(1), rf(1), rf(1)],
+            [P(1, 2), P(0, 1), P(3)],
+            [P(2, 4), P(0, 2), P(6)],
+            [P(1), P(1), P(1)],
         ]
         assert bareiss_det(m).is_zero
         with pytest.raises(ValueError, match="not triangular"):
@@ -411,11 +432,9 @@ def _shuffled_triangular(data, n):
     for i in range(n):
         for j in range(n):
             if i > j:
-                entry = RationalFunction.zero()
+                m[rows[i]][cols[j]] = Polynomial.zero()
             else:
-                num = _NONZERO if i == j else _POLY
-                entry = RationalFunction(data.draw(num), data.draw(_DEN))
-            m[rows[i]][cols[j]] = entry
+                m[rows[i]][cols[j]] = data.draw(_NONZERO if i == j else _POLY)
     return m
 
 
@@ -427,7 +446,7 @@ def test_shuffled_triangular_inverse_matches_gauss_jordan(data, n):
     m = _shuffled_triangular(data, n)
     inv = matrix_invert(m)
     assert inv == gauss_jordan_invert(m)
-    assert matrix_mul(m, inv) == matrix_identity(n)
+    assert entrywise_mul(lifted(m), inv) == matrix_identity(n)
     assert matrix_mul(inv, m) == matrix_identity(n)
 
 
@@ -442,7 +461,7 @@ def test_shuffled_triangular_det_matches_bareiss(n, data):
 def test_det_sign_under_every_row_and_column_order():
     """Every pair of row and column permutations of one triangular matrix,
     so that each combination of the two parities occurs."""
-    upper = [[rf(2, 1), rf(1), rf(0, 3)], [rf(), rf(1, -1), rf(5)], [rf(), rf(), rf(3, 0, 1)]]
+    upper = [[P(2, 1), P(1), P(0, 3)], [P(), P(1, -1), P(5)], [P(), P(), P(3, 0, 1)]]
     for rows in permutations(range(3)):
         for cols in permutations(range(3)):
             m = [[upper[rows.index(i)][cols.index(j)] for j in range(3)] for i in range(3)]
@@ -477,8 +496,8 @@ def test_det_of_psi_divides_nothing(monkeypatch, family, base):
 def test_matrix_mul_matches_entrywise_product(data, n, p, m):
     entry = st.builds(RationalFunction, _POLY, _DEN)
     a = [[data.draw(entry) for _ in range(p)] for _ in range(n)]
-    b = [[data.draw(entry) for _ in range(m)] for _ in range(p)]
-    assert matrix_mul(a, b) == entrywise_mul(a, b)
+    b = [[data.draw(_POLY) for _ in range(m)] for _ in range(p)]
+    assert matrix_mul(a, b) == entrywise_mul(a, lifted(b))
 
 
 def _predicted_pivots(family, op):
@@ -523,14 +542,18 @@ _Z = sympy.Symbol("z")
 
 
 def _sympy_matrix(mat):
-    """The same matrix over sympy's field Q(z)."""
+    """The same polynomial or RationalFunction matrix over sympy's field
+    Q(z)."""
     def expr(poly):
         return sum(
             (sympy.Rational(str(c)) * _Z**i for i, c in enumerate(poly.coeffs)),
             sympy.Integer(0),
         )
 
-    rows = [[expr(e.num) / expr(e.den) for e in row] for row in mat]
+    rows = [
+        [expr(e) if isinstance(e, Polynomial) else expr(e.num) / expr(e.den) for e in row]
+        for row in mat
+    ]
     return DomainMatrix.from_Matrix(sympy.Matrix(rows)).to_field()
 
 
@@ -558,17 +581,14 @@ def test_psi_inverse_and_determinant_match_sympy(family, base, r):
     )
 )
 def test_matrix_inverse_multiplies_back(entries):
-    m = [
-        [RationalFunction(Polynomial(entries[3 * i + j])) for j in range(3)]
-        for i in range(3)
-    ]
+    m = [[Polynomial(entries[3 * i + j]) for j in range(3)] for i in range(3)]
     try:
         inv = gauss_jordan_invert(m)
     except ZeroDivisionError:
         with pytest.raises(ValueError, match="not triangular"):
             matrix_invert(m)
         return
-    assert matrix_mul(m, inv) == matrix_identity(3)
+    assert entrywise_mul(lifted(m), inv) == matrix_identity(3)
     assert matrix_mul(inv, m) == matrix_identity(3)
     # the triangular inverse agrees where it applies and refuses the rest
     try:
