@@ -29,6 +29,7 @@ __all__ = [
     "bilinear_combinations",
     "kernel_workers",
     "integer_scale_arg",
+    "integer_quotient",
     "integer_first_mismatch",
     "series_of_integer_vector",
     "PoleAtOrigin",
@@ -288,15 +289,6 @@ class TruncatedSeries:
     def __hash__(self):
         return hash((self.order, self.coeffs))
 
-    def scale_arg(self, q):
-        """phi(q*z): coefficient of z^n multiplies by q^n."""
-        q = rat(q)
-        out, power = [], _QONE
-        for c in self.coeffs:
-            out.append(c * power)
-            power *= q
-        return TruncatedSeries(out)
-
     def __repr__(self):
         prefix = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if self.order >= 8 else ""
@@ -316,13 +308,14 @@ def integer_vector(s):
 
 
 def _graded_lifts(s, length):
-    """For m = 0..length-1, yield (x, L): L is the lcm of the denominators
-    of s.coeffs[0..m], and x[n] = s.coeffs[n] * L for n <= m.
+    """For m = 0..length-1, yield (x, step): with L(m) the lcm of the
+    denominators of s.coeffs[0..m] and L(-1) = 1, step = L(m) / L(m-1)
+    and x[n] = s.coeffs[n] * L(m) for n <= m.
 
-    From m to m+1, x is multiplied by the step factor L(m+1) / L(m) and
-    gains one entry. The step is 1 whenever the new denominator divides L,
-    and the prefix lcms nest by construction even where the reduced
-    denominators of the coefficients do not.
+    From m-1 to m, x is multiplied by the step and gains one entry. The
+    step is 1 whenever the new denominator divides L, and the prefix lcms
+    nest by construction even where the reduced denominators of the
+    coefficients do not.
     """
     x, prefix = [], 1
     for c in s.coeffs[:length]:
@@ -332,7 +325,29 @@ def _graded_lifts(s, length):
             prefix *= step
             x = [y * step for y in x]
         x.append(num * (prefix // den))
-        yield x, prefix
+        yield x, step
+
+
+def _carried(states, count):
+    """For each state [((a_i, sa_i), (b_i, sb_i)), ...] of count pairs' lifts
+    at m = 0, 1, ..., yield (state, D_m, c) with D_m = lcm_i(La_i(m) Lb_i(m))
+    and the cross factors c_i = D_m / (La_i(m) Lb_i(m)).
+
+    Both are carried by the steps s_i = sa_i sb_i: with g_i = gcd(c_i, s_i),
+    t_i = s_i / g_i and T = lcm_i t_i, D_m = D_(m-1) T and
+    c_i = (c_i / g_i) (T / t_i), so that a tall D_m or c_i meets only
+    products, divisions and gcds by small numbers.
+    """
+    d_m, cross = 1, [1] * count
+    for state in states:
+        steps = [sa * sb for (_, sa), (_, sb) in state]
+        if any(s != 1 for s in steps):
+            shared = list(map(gcd, cross, steps))
+            ts = [s // g for s, g in zip(steps, shared)]
+            t = lcm(*ts)
+            d_m *= t
+            cross = [c // g * (t // ti) for c, g, ti in zip(cross, shared, ts)]
+        yield state, d_m, cross
 
 
 # A kernel call splits its output coefficients over at most this many
@@ -344,12 +359,14 @@ MAX_KERNEL_WORKERS = 2
 # The least work estimate, pairs x outputs x length^2 x bits of the last
 # pair's last coefficients, at which a call forks. One fork with its exit
 # and reap costs 3-4 ms (2-CPU Linux host, Python 3.11, Fraction backend,
-# the package loaded). At order 40 (theta, q = 1/2 and 2/3, r = 2..5,
-# best of 9), calls with estimates up to 8.5e7 (theta r = 3, q = 1/2 at
-# r = 2) took 7-17 ms serially and were no faster split in two; from
-# 1.05e8 on (q = 2/3 at r = 2, 18-22 ms) they took 5-15% less, and from
-# 1.4e8 on (theta r >= 4, q at r >= 3) 10-40% less.
-FORK_MIN_WORK = 100_000_000
+# the package loaded). Timed on the r outputs of the certified tables at
+# order 40 (theta, q = 1/2 and 2/3, r = 2..5, sample_params seeds 1-3,
+# best of 15 serial and split runs interleaved): calls with estimates up
+# to 7.5e7 (theta r <= 3, q at r = 2, q = 1/2 at r = 3 once) took 2-16 ms
+# serially and 5-165% more split in two; from 8e7 to 1.1e8 (theta r = 4,
+# q = 2/3 at r = 3 once, 17-30 ms) 1-16% less; from 1.4e8 on (theta r = 5,
+# q at r >= 3) 2-41% less, but for one theta r = 5 call (3% more).
+FORK_MIN_WORK = 80_000_000
 
 
 def kernel_workers():
@@ -397,17 +414,14 @@ def _share(pairs, scales, factors, consts, length, part, parts):
     lifts = [zip(_graded_lifts(a, length), _graded_lifts(b, length)) for a, b in pairs]
     rows = [[] for _ in consts]
     mine = set(_share_indices(length, part, parts))
-    for m, state in enumerate(zip(*lifts)):
+    for m, (state, d_m, cross) in enumerate(_carried(zip(*lifts), len(pairs))):
         if m not in mine:
             continue
-        pair_dens = [la * lb for (_, la), (_, lb) in state]
-        d_m = lcm(*pair_dens)
         sums = [0] * len(consts)
-        for i, (((a, _), (b, _)), pd) in enumerate(zip(state, pair_dens)):
+        for i, ((a, _), (b, _)) in enumerate(state):
             terms = list(map(mul, a, reversed(b)))
-            c = d_m // pd
             for j, (srow, frow) in enumerate(zip(scales, factors)):
-                sums[j] += frow[i] * c * sum(map(mul, terms, srow[i]))
+                sums[j] += frow[i] * cross[i] * sum(map(mul, terms, srow[i]))
         for row, acc, e in zip(rows, sums, consts):
             den = e * d_m
             g = gcd(acc, den)
@@ -532,10 +546,12 @@ def bilinear_combinations(pairs, outputs):
     the height of coefficient n grows like n^2, so the low coefficients
     stay far below the height of the last one.
 
-    At each m the pairs meet over D_m = lcm_i(La_i(m) Lb_i(m)), with one
-    division per pair. Each big product a_i[n] b_i[m-n] is formed once and
-    serves every output. The weight and scale denominators stay out of D_m,
-    in one constant E_j per output. Output coefficient m is reduced by one
+    At each m the pairs meet over D_m = lcm_i(La_i(m) Lb_i(m)), by the
+    cross factors D_m / (La_i(m) Lb_i(m)); both are carried from m-1 by
+    the steps (_carried), with no lcm nor division of tall numbers. Each
+    big product a_i[n] b_i[m-n] is formed once and serves every output.
+    The weight and scale denominators stay out of D_m, in one constant E_j
+    per output. Output coefficient m is reduced by one
     gcd against its own denominator E_j D_m, and the reduced coefficients
     of an output are put over their lcm at the end.
 
@@ -577,6 +593,40 @@ def integer_scale_arg(v, d, c):
         ups.append(ups[-1] * u)
         wps.append(wps[-1] * w)
     return [x * a * b for x, a, b in zip(v, ups, reversed(wps))], d * wps[-1]
+
+
+def integer_quotient(terms, unit):
+    """The reduced integer vector (v, d) of (sum_k p_k v_k / d_k) / unit,
+    for terms (p_k, (v_k, d_k)) of Polynomials p_k and integer vectors of
+    one length, and a Polynomial unit with unit(0) != 0.
+
+    Each short p_k, over its own denominator, multiplies v_k over the
+    integers. The division by u = unit over its denominator is one pass
+    y[n] = (x[n] - sum_(t>=1) u[t] y[n-t]) / u[0] on Y[n] = y[n] u[0]^(n+1),
+    and one gcd over the result reduces it.
+    """
+    length = len(terms[0][1][0])
+    lifted = [(*integer_vector(p), v, d) for p, (v, d) in terms]
+    den = lcm(*(e * d for _, e, _, d in lifted))
+    acc = [0] * length
+    for cs, e, v, d in lifted:
+        for t, c in enumerate(cs):
+            if c:
+                c *= den // (e * d)
+                for n in range(t, length):
+                    acc[n] += c * v[n - t]
+    us, ue = integer_vector(unit)
+    powers = [1]
+    for _ in range(length):
+        powers.append(powers[-1] * us[0])
+    out = []
+    for n, x in enumerate(acc):
+        back = zip(us[1 : n + 1], powers, reversed(out))
+        out.append(x * ue * powers[n] - sum(u * w * y for u, w, y in back))
+    v = [y * powers[length - 1 - n] for n, y in enumerate(out)]
+    d = den * powers[length]
+    g = gcd(d, *v) * (1 if d > 0 else -1)
+    return [x // g for x in v], d // g
 
 
 def integer_first_mismatch(v, d, f):

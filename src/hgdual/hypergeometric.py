@@ -20,6 +20,7 @@ from .exact_algebra import (
     RationalFunction,
     TruncatedSeries,
     bilinear_combinations,
+    integer_quotient,
     is_integer,
     rat,
 )
@@ -30,6 +31,7 @@ from .skew_operators import (
     SolutionBasis,
     TaggedSeries,
     VerificationReport,
+    annihilated,
     dual_operator,
     matrix_invert,
     psi_matrix,
@@ -159,19 +161,20 @@ def psi_det(op):
     return prod([op.coefficient(op.order)] * op.order, start=Polynomial.one())
 
 
-def term_ratio_series(upper, lower, N, factor):
+def term_ratio_series(upper, lower, N, factor, scale=Q(1)):
     """Series sum_n c_n z^n through z^N with c_0 = 1 and
-    c_{n+1} = c_n prod factor(u, n) / prod factor(l, n), the one recurrence
-    of both families: factor(x, n) is x + n resp. 1 - x q^n, and the
-    factorial is the last lower parameter, 1 resp. q. factor takes x as
-    the integer pair (num(x), den(x)) and returns its value as an integer
-    pair too, so that each step forms one rational. A lower factor that
-    vanishes at a step n < N raises DegenerateParameters."""
+    c_{n+1} = c_n scale prod factor(u, n) / prod factor(l, n), the one
+    recurrence of both families: factor(x, n) is x + n resp. 1 - x q^n,
+    the factorial is the last lower parameter, 1 resp. q, and the series
+    is taken in the variable scale*z. factor takes x as the integer pair
+    (num(x), den(x)) and returns its value as an integer pair too, so that
+    each step forms one rational. A lower factor that vanishes at a step
+    n < N raises DegenerateParameters."""
     up = [(int(x.numerator), int(x.denominator)) for x in upper]
     low = [(int(x.numerator), int(x.denominator)) for x in lower]
     coeffs = [Q(1)]
     for n in range(N):
-        num = den = 1
+        num, den = int(scale.numerator), int(scale.denominator)
         for x in up:
             fn, fd = factor(x, n)
             num, den = num * fn, den * fd
@@ -228,11 +231,35 @@ def duality_matrix(p):
     return matrix_invert(psi_matrix(hg_operator(p)))
 
 
+def _one_minus_z(k):
+    """The Polynomial (1 - z)^k."""
+    return Polynomial([(-1) ** i * comb(k, i) for i in range(k + 1)])
+
+
 def _over_one_minus_z(num, k):
     """The RationalFunction num(z) / (1 - z)^k, num a coefficient list."""
-    return RationalFunction(
-        Polynomial(num), Polynomial([(-1) ** i * comb(k, i) for i in range(k + 1)])
-    )
+    return RationalFunction(Polynomial(num), _one_minus_z(k))
+
+
+def theta_reduction(op, count):
+    """Rows P_k0..P_k(r-1) of polynomials for k = r, ..., r + count - 1,
+    with theta^k f = sum_(j<r) P_kj / (1-z)^(k-r+1) theta^j f whenever
+    L f = 0, for L = hg_operator(p) of order r (A_r = 1 - z).
+
+    R_kj = P_kj / (1-z)^(k-r+1) starts from R_rj = -A_j / A_r and follows
+    R_(k+1)j = theta(R_kj) + R_k(j-1) - R_k(r-1) A_j / A_r, so that
+    P_(k+1)j = (1-z) (theta(P_kj) + P_k(j-1)) + (k-r+1) z P_kj - P_k(r-1) A_j.
+    """
+    a, r = op.coeffs, op.order
+    rows = [[-x for x in a[:r]]]
+    for m in range(1, count):
+        prev = rows[-1]
+        rows.append([
+            _one_minus_z(1) * (prev[j].theta() + (prev[j - 1] if j else Polynomial()))
+            + Polynomial([0, m]) * prev[j] - prev[r - 1] * a[j]
+            for j in range(r)
+        ])
+    return rows[:count]
 
 
 def anti_diagonal_entry(l):
@@ -247,8 +274,12 @@ def bilinear_sum_table(p, N):
     With c_i the exponent of f_i, theta^k(f_i) g_i has the body
     ((c_i + theta)^k phi_i) psi_i, whose coefficient n before the product is
     (c_i + n)^k phi_in. So the first column T_k0, k = 0..2r-2, reweights one
-    set of big products phi_in psi_ij per i by small integers. The Leibniz
-    rule theta(T_kl) = T_(k+1)l + T_k(l+1) then gives the other columns as
+    set of big products phi_in psi_ij per i by small integers. When the
+    primal basis is certified to solve L f = 0 through z^N (annihilated),
+    the kernel forms T_00..T_(r-1)0 only, and
+    T_k0 = sum_(j<r) P_kj T_j0 / (1-z)^(k-r+1) (theta_reduction) gives the
+    rest; otherwise it forms all 2r-1. The Leibniz rule
+    theta(T_kl) = T_(k+1)l + T_k(l+1) then gives the other columns as
     T_k(l+1) = theta(T_kl) - T_(k+1)l, exactly through z^N.
     """
     r = p.r
@@ -256,19 +287,23 @@ def bilinear_sum_table(p, N):
     primal = solution_basis(p, N, "primal").entries
     dual = solution_basis(p, N, "dual").entries
     pairs = [(f.body, g.body) for f, g in zip(primal, dual)]
+    op = hg_operator(p)
+    count = r if annihilated(op, primal) else 2 * r - 1
     # (c_i + n)^k = scales[i][k][n] / t_i^k with c_i = s_i / t_i
     scales = []
     for f in primal:
         s, t = int(f.offset.numerator), int(f.offset.denominator)
         base = [s + n * t for n in range(N + 1)]
         powers = [[1] * (N + 1)]
-        for _ in range(2 * r - 2):
+        for _ in range(count - 1):
             powers.append([x * y for x, y in zip(powers[-1], base)])
         scales.append([(v, t**k) for k, v in enumerate(powers)])
     outputs = [
-        [(w, scale[k]) for w, scale in zip(weights, scales)] for k in range(2 * r - 1)
+        [(w, scale[k]) for w, scale in zip(weights, scales)] for k in range(count)
     ]
     column = bilinear_combinations(pairs, outputs)
+    for m, row in enumerate(theta_reduction(op, 2 * r - 1 - count), 1):
+        column.append(integer_quotient(list(zip(row, column)), _one_minus_z(m)))
     d = lcm(*(cd for _, cd in column))
     table = [[[x * (d // cd) for x in cv] for cv, cd in column]]
     for _ in range(r - 1):

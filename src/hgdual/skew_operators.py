@@ -13,11 +13,12 @@ RationalFunction, normalised once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb, lcm, prod
 from operator import mul
 
 from .exact_algebra import (
     Polynomial,
+    Q,
     RationalFunction,
     integer_first_mismatch,
     poly_lcm,
@@ -409,6 +410,43 @@ def check_cells(m, sums, structure_ok):
                 )
             )
     return VerificationReport(tuple(cells))
+
+
+def annihilated(op, entries):
+    """True when op, with coefficients A_j = alpha_j + beta_j z, annihilates
+    each tagged series z^c phi of entries through the order of phi.
+
+    Coefficient n of L(z^c phi) / z^c is phi_n P0(n) + phi_(n-1) P1(n-1),
+    where P0(n) = sum_j alpha_j x_n^j and P1(n) = sum_j beta_j x_n^j at the
+    eigenvalue x_n of z^(c+n) under theta (c + n) resp. Delta (mu q^n).
+    Each must vanish for n = 0..N, phi_(-1) = 0. Where P0(n) != 0 that says
+    phi_n = phi_(n-1) R with R = -P1(n-1) / P0(n): P0 and P1 are formed
+    over the integers, and the product by the small R reduces the tall
+    phi_(n-1) by gcds with the parts of R only.
+    """
+    if any(a.degree > 1 for a in op.coeffs):
+        return False
+    e = lcm(*(int(c.denominator) for a in op.coeffs for c in a.coeffs))
+    alpha = [int(a.coefficient(0) * e) for a in reversed(op.coeffs)]
+    beta = [int(a.coefficient(1) * e) for a in reversed(op.coeffs)]
+    for f in entries:
+        s, t = int(f.offset.numerator), int(f.offset.denominator)
+        q = f.q or 1
+        qn, qd = int(q.numerator), int(q.denominator)
+        prev, p1, w1 = 0, 0, 1  # phi_(n-1), and P1(n-1) = p1 / (e w1)
+        for n, c in enumerate(f.body.coeffs):
+            xn, xd = (s + n * t, t) if f.mode == THETA else (s * qn**n, t * qd**n)
+            p0, q1, w = 0, 0, 1
+            for a, b in zip(alpha, beta):  # Horner in xn / xd, times w = xd^r
+                p0, q1, w = p0 * xn + a * w, q1 * xn + b * w, w * xd
+            w //= xd
+            if p0 == 0:
+                if prev and p1:
+                    return False
+            elif c != prev * Q(-p1 * w, p0 * w1):
+                return False
+            prev, p1, w1 = c, q1, w
+    return True
 
 
 def minimum_order(r):

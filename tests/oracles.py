@@ -76,6 +76,12 @@ def theta(s):
     return TruncatedSeries([n * c for n, c in enumerate(s.coeffs)])
 
 
+def scale_arg(s, c):
+    """s(c*z): the coefficient of z^n multiplies by c^n."""
+    c = rat(c)
+    return TruncatedSeries([x * c**n for n, x in enumerate(s.coeffs)])
+
+
 def evaluate(p, x):
     """The Polynomial p at the rational x, by Horner's rule."""
     acc = Q(0)
@@ -240,7 +246,7 @@ def advance(s):
     if s.mode == THETA:
         body = add(scale(s.body, s.offset), theta(s.body))
     else:
-        body = scale(s.body.scale_arg(s.q), s.offset)
+        body = scale(scale_arg(s.body, s.q), s.offset)
     return TaggedSeries(s.mode, s.offset, body, s.q)
 
 
@@ -469,6 +475,6 @@ def explicit_q_dual_basis(p, N):
     for i, bi in enumerate(p.b):
         upper = [bi / x for x in p.a]
         lower = [p.q * bi / x for j, x in enumerate(p.b) if j != i]
-        body = q_hypergeometric_body(upper, lower, p.q, N).scale_arg(rho)
+        body = scale_arg(q_hypergeometric_body(upper, lower, p.q, N), rho)
         entries.append((bi / p.q, body))
     return entries

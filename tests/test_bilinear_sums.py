@@ -5,24 +5,32 @@ forked workers as well as serial; the failure reports the verifiers give
 for a cell that does not match; and the r = 2 product identities that
 paper-regression certifies on the tables."""
 
+import contextlib
 import gc
+import io
 import marshal
 import os
 import random
 import signal
 import threading
 import time
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import hgdual.cli
 import hgdual.hypergeometric as hg
 import hgdual.q_hypergeometric as qhg
 from hgdual.hypergeometric import DegenerateParameters
 from hgdual.hypergeometric import sample_params as sample_theta_params
 from hgdual.q_hypergeometric import sample_params as sample_qshift_params
-from hgdual.skew_operators import SolutionBasis, TaggedSeries, minimum_order
+from hgdual.skew_operators import (
+    SolutionBasis,
+    TaggedSeries,
+    annihilated,
+    minimum_order,
+)
 import hgdual.exact_algebra as exact_algebra
 from hgdual.exact_algebra import (
     PoleAtOrigin,
@@ -33,6 +41,7 @@ from hgdual.exact_algebra import (
     _graded_lifts,
     bilinear_combinations,
     integer_first_mismatch,
+    integer_quotient,
     integer_scale_arg,
     integer_vector,
     is_integer,
@@ -46,6 +55,8 @@ from oracles import (
     ratfunc,
     rf_add,
     scale,
+    scale_arg,
+    series_of_poly,
     series_of_ratfunc,
     sub,
     theta,
@@ -71,7 +82,7 @@ def test_integer_vector_round_trip(s):
 @given(_series(7), nonzero)
 def test_integer_scale_arg_is_scale_arg(s, c):
     assert series_of_integer_vector(*integer_scale_arg(*integer_vector(s), c)) == (
-        s.scale_arg(c)
+        scale_arg(s, c)
     )
 
 
@@ -138,9 +149,12 @@ def test_bilinear_combinations_match_series_arithmetic(pairs, outputs):
 def test_prefix_lcm_constant_over_several_steps():
     # denominators 6, 2, 3, 6, 1 all divide 6; then 4 steps the lcm to 12
     a = TruncatedSeries([Q(1, 6), Q(1, 2), Q(2, 3), Q(5, 6), Q(3), Q(1, 4)])
-    lifts = [(list(x), prefix) for x, prefix in _graded_lifts(a, 6)]
-    assert [prefix for _, prefix in lifts] == [6, 6, 6, 6, 6, 12]
-    for m, (x, prefix) in enumerate(lifts):
+    lifts = [(list(x), step) for x, step in _graded_lifts(a, 6)]
+    assert [step for _, step in lifts] == [6, 1, 1, 1, 1, 2]
+    prefix = 1
+    for m, (x, step) in enumerate(lifts):
+        prefix *= step
+        assert prefix == (6 if m < 5 else 12)
         assert x == [int(c * prefix) for c in a.coeffs[: m + 1]]
     b = TruncatedSeries([Q(1, 5), Q(0), Q(-1, 7), Q(2), Q(0), Q(1, 3)])
     one = TruncatedSeries([1] * 6)
@@ -159,6 +173,24 @@ def test_all_zero_output():
     outputs = [[(Q(0), one)], [(Q(1, 3), one), (Q(-1, 3), one)]]
     assert _combine([(a, b)], outputs[:1]) == [([0] * 4, 1)]
     assert _combine([(a, b), (a, b)], outputs[1:]) == [([0] * 4, 1)]
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.tuples(_kernel_series(8), _kernel_series(8)), min_size=1, max_size=4)
+)
+def test_carried_denominators_are_the_prefix_lcm(pairs):
+    """D_m and the cross factors carried by the lift steps (steps of 1 and
+    repeated prime factors drawn often) equal their direct definitions."""
+    lifts = zip(*[zip(_graded_lifts(a, 8), _graded_lifts(b, 8)) for a, b in pairs])
+    for m, (_, d_m, cross) in enumerate(exact_algebra._carried(lifts, len(pairs))):
+        dens = [
+            lcm(*(int(c.denominator) for c in a.coeffs[: m + 1]))
+            * lcm(*(int(c.denominator) for c in b.coeffs[: m + 1]))
+            for a, b in pairs
+        ]
+        assert d_m == lcm(*dens)
+        assert cross == [d_m // x for x in dens]
 
 
 class TestIntegerMatchesRatfunc:
@@ -525,28 +557,179 @@ def test_theta_leibniz_recurrence(ab):
     _assert_tables_equal(hg.bilinear_sum_table(p, N), t, r)
 
 
+def _shift_sums(p, N):
+    """Every shift sum E_e(w) = sum_i w_i mu_i^e phi_i(q^e w) psi_i(w),
+    e = 1-r..r-1, in Fraction series arithmetic."""
+    primal = qhg.solution_basis(p, N, "primal").entries
+    dual = qhg.solution_basis(p, N, "dual").entries
+    w = qhg.q_duality_weights(p)
+    sums = {}
+    for e in range(1 - p.r, p.r):
+        acc = zero(N)
+        for wi, f, g in zip(w, primal, dual):
+            product = mul(scale_arg(f.body, p.q**e), g.body)
+            acc = add(acc, scale(product, wi * f.offset**e))
+        sums[e] = acc
+    return sums
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.sampled_from([Q(1, 2), Q(2, 3), Q(1, 3), Q(3, 4)]), upper_and_lower)
 def test_qshift_shift_toeplitz(q, ab):
     p = _generic(qhg.Params.make, q, *ab)
     r, N = p.r, minimum_order(p.r)
-    primal = qhg.solution_basis(p, N, "primal").entries
-    dual = qhg.solution_basis(p, N, "dual").entries
-    w = qhg.q_duality_weights(p)
-
-    def shift_sum(e):
-        """E_e(w) = sum_i w_i mu_i^e phi_i(q^e w) psi_i(w)."""
-        acc = zero(N)
-        for wi, f, g in zip(w, primal, dual):
-            acc = add(acc, scale(mul(f.body.scale_arg(q**e), g.body), wi * f.offset**e))
-        return acc
-
     direct = _direct_q_sums(p, N)
-    sums = {e: shift_sum(e) for e in range(1 - r, r)}
+    sums = _shift_sums(p, N)
     for k in range(r):
         for l in range(r):
-            assert direct[k][l] == sums[k - l].scale_arg(q**l), (k, l)
+            assert direct[k][l] == scale_arg(sums[k - l], q**l), (k, l)
     _assert_tables_equal(qhg.q_bilinear_sum_table(p, N), direct, r)
+
+
+# The certified tables: the kernel forms r of the 2r-1 outputs when the
+# primal basis is certified to solve L f = 0, and the operator gives the
+# rest. FAMILIES maps an id to the family module, the name of its basis
+# function and the arguments Params.make and sample_params take before
+# a and b.
+FAMILIES = {
+    "theta": (hg, "solution_basis", ()),
+    "q=1/2": (qhg, "q_solution_basis", (Q(1, 2),)),
+    "q=2/3": (qhg, "q_solution_basis", (Q(2, 3),)),
+}
+
+
+def _kernel_outputs(mp, module):
+    """Record the number of outputs of each kernel call of module."""
+    counts = []
+    kernel = module.bilinear_combinations
+
+    def counted(pairs, outputs):
+        counts.append(len(outputs))
+        return kernel(pairs, outputs)
+
+    mp.setattr(module, "bilinear_combinations", counted)
+    return counts
+
+
+def _all_outputs(mp, module):
+    """Refuse every certificate, so that the kernel forms all 2r-1 outputs."""
+    mp.setattr(module, "annihilated", lambda op, entries: False)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.sampled_from(sorted(FAMILIES)),
+    st.integers(2, 5).flatmap(_upper_and_lower),
+    st.integers(0, 6),
+)
+def test_certified_table_equals_all_outputs(family, ab, extra):
+    module, _, base = FAMILIES[family]
+    p = _generic(module.Params.make, *base, *ab)
+    r, N = p.r, minimum_order(p.r) + extra
+    with pytest.MonkeyPatch.context() as mp:
+        counts = _kernel_outputs(mp, module)
+        table = module.bilinear_sum_table(p, N)
+        assert counts == [r]
+        _all_outputs(mp, module)
+        assert module.bilinear_sum_table(p, N) == table
+        assert counts == [r, 2 * r - 1]
+    direct = _direct_theta_sums(p, N) if module is hg else _direct_q_sums(p, N)
+    _assert_tables_equal(table, direct, r)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_generic_parameters_take_the_certified_path(monkeypatch, family, r):
+    module, _, base = FAMILIES[family]
+    p = module.sample_params(random.Random(600 + r), r, *base)
+    counts = _kernel_outputs(monkeypatch, module)
+    assert module.verify(p, minimum_order(r)).passed
+    assert counts == [r]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_qshift_steps_give_the_shift_sums(r):
+    """The forward and backward steps of sum_j A_j(q^s z) E_(s+j) = 0 on the
+    shift sums of the direct definition."""
+    p = sample_qshift_params(random.Random(700 + r), r, Q(2, 3))
+    N, q = minimum_order(r), p.q
+    sums = {e: integer_vector(s) for e, s in _shift_sums(p, N).items()}
+    a = qhg.qhg_operator(p).coeffs
+    for s in range(1 - r, 0):
+        forward = [(-a[j].scale_arg(q**s), sums[s + j]) for j in range(r)]
+        assert integer_quotient(forward, a[r].scale_arg(q**s)) == sums[s + r], s
+        backward = [(-a[j].scale_arg(q**s), sums[s + j]) for j in range(1, r + 1)]
+        assert integer_quotient(backward, a[0].scale_arg(q**s)) == sums[s], s
+
+
+def test_integer_quotient_by_a_unit():
+    """(p_1 v_1 / d_1 + p_2 v_2 / d_2) / u against series arithmetic, with a
+    unit u whose constant term is not 1."""
+    x = TruncatedSeries([Q(1, 3), Q(-2, 5), Q(0), Q(7, 2), Q(1, 9), Q(4)])
+    y = TruncatedSeries([Q(5), Q(1, 7), Q(-3, 4), Q(0), Q(2, 3), Q(-1, 6)])
+    px, py = Polynomial([Q(1, 2), Q(-3)]), Polynomial([0, Q(2, 5), 1])
+    u = Polynomial([Q(-3, 2), Q(5, 7)])
+    expected = add(mul(series_of_poly(px, 5), x), mul(series_of_poly(py, 5), y))
+    expected = mul(expected, series_of_ratfunc(RationalFunction(Polynomial([1]), u), 5))
+    v, d = integer_quotient([(px, integer_vector(x)), (py, integer_vector(y))], u)
+    _assert_reduced(v, d)
+    assert series_of_integer_vector(v, d) == expected
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 4).flatmap(_upper_and_lower))
+def test_theta_reduction_is_theta_power(ab):
+    """theta^k f = sum_(j<r) P_kj / (1-z)^(k-r+1) theta^j f, k = r..2r, on
+    the primal basis, with theta^k applied by the direct definition."""
+    p = _generic(hg.Params.make, *ab)
+    r, N = p.r, 12
+    rows = hg.theta_reduction(hg.hg_operator(p), r + 1)
+    one_minus_z = Polynomial([1, -1])
+    for powers in _advance_table(hg.solution_basis(p, N, "primal").entries, 2 * r + 1):
+        for m, row in enumerate(rows, 1):
+            den = prod([one_minus_z] * m, start=Polynomial.one())
+            got = zero(N)
+            for poly, power in zip(row, powers):
+                factor = series_of_ratfunc(RationalFunction(poly, den), N)
+                got = add(got, mul(factor, power.body))
+            assert got == powers[r + m - 1].body, (r, m)
+
+
+def _cli_bytes(module, p, N):
+    """stdout of the verify command on p, in text and in JSON."""
+    family = ["--hg"] if module is hg else ["--qhg", "--q", str(p.q)]
+    argv = ["verify", *family, "--a", ",".join(map(str, p.a)),
+            "--b", ",".join(map(str, p.b[:-1])), "--order", str(N)]
+    out = []
+    for fmt in ([], ["--format", "json"]):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = hgdual.cli.main(argv + fmt)
+        out.append((code, buffer.getvalue()))
+    return out
+
+
+@pytest.mark.parametrize("family", ["theta", "q=2/3"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_off_operator_basis_takes_all_outputs(monkeypatch, family, where):
+    """A primal body moved off the operator is refused by the certificate,
+    and the report and the command's bytes are those of the path that forms
+    all 2r-1 outputs."""
+    module, name, base = FAMILIES[family]
+    r, N = 3, 20
+    p = module.sample_params(random.Random(13), r, *base)
+    n = {"first": 0, "middle": N // 2, "last": N}[where]
+    _perturb_basis(monkeypatch, module, name, ("primal", 1, n, Q(1)))
+    primal = getattr(module, name)(p, N, "primal").entries
+    assert not annihilated(module.operator(p), primal)
+    counts = _kernel_outputs(monkeypatch, module)
+    report = module.verify(p, N)
+    stdout = _cli_bytes(module, p, N)
+    assert set(counts) == {2 * r - 1}
+    assert not report.passed
+    _all_outputs(monkeypatch, module)
+    assert module.verify(p, N) == report
+    assert _cli_bytes(module, p, N) == stdout
 
 
 def _perturb(monkeypatch, module, name, cell):

@@ -27,6 +27,7 @@ from oracles import (
     rf_scale_arg,
     rf_sub,
     rf_theta,
+    scale_arg,
     series_invert,
     series_of_ratfunc,
     sub,
@@ -196,7 +197,7 @@ class TestTruncatedSeries:
     def test_theta_and_scale_arg(self):
         a = S(7, 5, 3)
         assert theta(a) == S(0, 5, 6)
-        assert a.scale_arg(Q(1, 2)) == S(7, Q(5, 2), Q(3, 4))
+        assert scale_arg(a, Q(1, 2)) == S(7, Q(5, 2), Q(3, 4))
 
 
 class TestSeriesOfRatfunc:

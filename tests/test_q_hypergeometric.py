@@ -38,6 +38,7 @@ from oracles import (
     q_hypergeometric_body,
     q_pochhammer,
     rescale_operator,
+    scale_arg,
     scale_operator,
     series_of_ratfunc,
     wronskian_det,
@@ -156,7 +157,7 @@ class TestSolutionBases:
             5,
         )
         folded = q_solution_basis(QP2, 5, "dual").entries[0].body
-        assert folded == plain.scale_arg(rho)
+        assert folded == scale_arg(plain, rho)
 
     def test_unknown_which_rejected(self):
         with pytest.raises(ValueError, match="which must be"):
