@@ -15,7 +15,7 @@ from dataclasses import fields
 from . import __version__
 from . import hypergeometric as hg
 from . import q_hypergeometric as qhg
-from .exact_algebra import Q, Polynomial, kernel_workers, rat
+from .exact_algebra import Q, Polynomial, rat
 from .hypergeometric import DegenerateParameters
 from .skew_operators import (
     DegenerateOperator,
@@ -34,11 +34,12 @@ EXIT_DEGENERATE = 3
 EXIT_PRECISION = 4
 
 # The largest r, sample count and truncation order the commands accept,
-# so that every run ends in bounded time. One sample at r = 12 takes about
-# 15 s for verify --hg and 90 s for verify --qhg --q 2/3 (Python 3.11,
-# Fraction backend); verify --hg -r 30 did not end within 20 s. MAX_ORDER is
-# the default truncation at r = MAX_R; verify --qhg --q 2/3 -r 2 took 110 s
-# at order 250.
+# so that every run ends in bounded time. One sample at r = 12 (seed 1,
+# default order; Python 3.11, Fraction backend, one CPU) takes about 1 s
+# for verify --hg and for verify --qhg --q 2/3 when the pairing
+# certificate holds, and 2 s resp. 17 s with one failing cell, which forms
+# the bilinear sums. MAX_ORDER is the default truncation at r = MAX_R;
+# verify --qhg --q 2/3 -r 2 took 110 s at order 250 forming the sums.
 MAX_R = 12
 MAX_SAMPLES = 100
 MAX_ORDER = minimum_order(MAX_R)
@@ -380,10 +381,8 @@ def build_parser():
     parser.add_argument(
         "--version",
         action="version",
-        version="hgdual %s, backend %s, kernel workers %d"
-        % (__version__, Q.__module__, kernel_workers()),
-        help="print the version, the arithmetic backend (fractions or gmpy2) "
-        "and the number of processes the bilinear-sum kernel splits over",
+        version="hgdual %s, backend %s" % (__version__, Q.__module__),
+        help="print the version and the arithmetic backend (fractions or gmpy2)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     param_commands = ("dual", "psi", "matrix", "verify")

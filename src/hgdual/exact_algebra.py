@@ -27,7 +27,6 @@ __all__ = [
     "TruncatedSeries",
     "integer_vector",
     "bilinear_combinations",
-    "kernel_workers",
     "integer_scale_arg",
     "integer_quotient",
     "integer_first_mismatch",
@@ -350,73 +349,13 @@ def _carried(states, count):
         yield state, d_m, cross
 
 
-# A kernel call splits its output coefficients over at most this many
-# processes. Only a split in two has been timed (2-CPU host); raise the cap
-# after timing splits in three and four against FORK_MIN_WORK.
-# The split imports os, threading, marshal and signal where it uses them,
-# so that importing the package costs no more than without it.
-MAX_KERNEL_WORKERS = 2
-# The least work estimate, pairs x outputs x length^2 x bits of the last
-# pair's last coefficients, at which a call forks. One fork with its exit
-# and reap costs 3-4 ms (2-CPU Linux host, Python 3.11, Fraction backend,
-# the package loaded). Timed on the r outputs of the certified tables at
-# order 40 (theta, q = 1/2 and 2/3, r = 2..5, sample_params seeds 1-3,
-# best of 15 serial and split runs interleaved): calls with estimates up
-# to 7.5e7 (theta r <= 3, q at r = 2, q = 1/2 at r = 3 once) took 2-16 ms
-# serially and 5-165% more split in two; from 8e7 to 1.1e8 (theta r = 4,
-# q = 2/3 at r = 3 once, 17-30 ms) 1-16% less; from 1.4e8 on (theta r = 5,
-# q at r >= 3) 2-41% less, but for one theta r = 5 call (3% more).
-FORK_MIN_WORK = 80_000_000
-
-
-def kernel_workers():
-    """The processes a large kernel call splits over: the CPUs this process
-    may run on, at most MAX_KERNEL_WORKERS, or 1 where it cannot fork."""
-    import os
-
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), MAX_KERNEL_WORKERS)
-
-
-def _worker_count(pairs, outputs, length):
-    """kernel_workers() for a call whose work estimate reaches
-    FORK_MIN_WORK while this is the only thread (a forked child holds only
-    the calling thread, so a lock another thread holds would stay locked
-    in it), else 1."""
-    import threading
-
-    if threading.active_count() > 1:
-        return 1
-    workers = kernel_workers()
-    if workers == 1:
-        return 1
-    last = [s.coeffs[length - 1] for s in pairs[-1]]
-    bits = sum(int(c.numerator).bit_length() + int(c.denominator).bit_length()
-               for c in last)
-    work = len(pairs) * len(outputs) * length**2 * bits
-    return workers if work >= FORK_MIN_WORK else 1
-
-
-def _share_indices(length, part, parts):
-    """The output coefficients of share part, ascending. Their cost grows
-    steeply with m, so m goes with length - 1 - m, and these pairs are dealt
-    to the shares back and forth: 0, 1, ..., parts - 1, parts - 1, ..., 0."""
-    turn = (part, 2 * parts - 1 - part)
-    ends = [m for m in range((length + 1) // 2) if m % (2 * parts) in turn]
-    return sorted({k for m in ends for k in (m, length - 1 - m)})
-
-
-def _share(pairs, scales, factors, consts, length, part, parts):
-    """Output coefficients _share_indices(length, part, parts) of every
-    output of bilinear_combinations, each reduced by its own gcd: one row
-    of (numerator, denominator) pairs per output."""
+def _share(pairs, scales, factors, consts, length):
+    """Every output coefficient of every output of bilinear_combinations,
+    each reduced by its own gcd: one row of (numerator, denominator) pairs
+    per output."""
     lifts = [zip(_graded_lifts(a, length), _graded_lifts(b, length)) for a, b in pairs]
     rows = [[] for _ in consts]
-    mine = set(_share_indices(length, part, parts))
-    for m, (state, d_m, cross) in enumerate(_carried(zip(*lifts), len(pairs))):
-        if m not in mine:
-            continue
+    for state, d_m, cross in _carried(zip(*lifts), len(pairs)):
         sums = [0] * len(consts)
         for i, ((a, _), (b, _)) in enumerate(state):
             terms = list(map(mul, a, reversed(b)))
@@ -427,107 +366,6 @@ def _share(pairs, scales, factors, consts, length, part, parts):
             g = gcd(acc, den)
             row.append((acc // g, den // g))
     return rows
-
-
-def _holding_interrupts(step, *args):
-    """step(*args) with SIGINT and SIGALRM held back until it returns, so
-    that an interrupt (KeyboardInterrupt, or an exception raised by a
-    timer's handler) cannot fall between a fork or a wait and the entry in
-    the table of children that records it. step keeps that table itself:
-    an interrupt held back is raised as soon as step returns, and the
-    result of step is then lost."""
-    import signal
-
-    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, ())
-    held = {signal.SIGINT, signal.SIGALRM} - blocked
-    try:
-        signal.pthread_sigmask(signal.SIG_BLOCK, held)
-        return step(*args)
-    finally:
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, held)
-
-
-def _fork_share(children, share, part):
-    """Fork a child that writes share(part), marshalled, to a pipe and
-    leaves through os._exit, so that it never returns into the caller nor
-    flushes the caller's buffered output, and enter it as
-    children[part] = (pid, read end). The child keeps the signal mask of
-    _holding_interrupts: an interrupt goes to the caller, which kills it."""
-    import marshal
-    import os
-
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read)
-            with open(write, "wb") as pipe:
-                marshal.dump(share(part), pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    children[part] = pid, read
-
-
-def _reap(children, kill, part=None):
-    """Take the child of share part, or every child when part is None, out
-    of children, close its read end and wait for it, after killing it when
-    kill; the exit code of the last one waited for. A pid is signalled
-    only while it is in children, that is, before it has been waited for."""
-    import os
-    import signal
-
-    code = None
-    for part in list(children) if part is None else [part]:
-        pid, read = children.pop(part)
-        os.close(read)
-        if kill:
-            os.kill(pid, signal.SIGKILL)
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    return code
-
-
-def _run_shares(share, parts):
-    """[share(0), ..., share(parts - 1)], with the shares after the first
-    computed in forked children while this process computes share(0).
-
-    A share whose child cannot be forked, exits non-zero or sends an
-    undecodable payload is computed here instead, to the same integers.
-    Every child is reaped before this returns or raises; when share(0)
-    raises (an interrupt included), the children still running are killed
-    first.
-    """
-    import marshal
-
-    children = {}
-    try:
-        for part in range(1, parts):
-            try:
-                _holding_interrupts(_fork_share, children, share, part)
-            except OSError:
-                break
-        results = [share(0)]
-        for part in range(1, parts):
-            rows = None
-            if part in children:
-                with open(children[part][1], "rb", closefd=False) as pipe:
-                    data = pipe.read()
-                if _holding_interrupts(_reap, children, False, part) == 0:
-                    try:
-                        rows = marshal.loads(data)
-                    except (EOFError, ValueError, TypeError):
-                        pass
-            results.append(share(part) if rows is None else rows)
-        return results
-    finally:
-        _holding_interrupts(_reap, children, True)
 
 
 def bilinear_combinations(pairs, outputs):
@@ -554,11 +392,6 @@ def bilinear_combinations(pairs, outputs):
     per output. Output coefficient m is reduced by one
     gcd against its own denominator E_j D_m, and the reduced coefficients
     of an output are put over their lcm at the end.
-
-    Since coefficient m needs nothing of the others, P processes share the
-    work (P from _worker_count): process k forms the coefficients
-    _share_indices(length, k, P), the children regenerating the lifts from
-    the series they inherit, and this process merges the rows.
     """
     dens = [[int(w.denominator) * sd for w, (_, sd) in row] for row in outputs]
     consts = [lcm(*row) for row in dens]
@@ -568,15 +401,8 @@ def bilinear_combinations(pairs, outputs):
     ]
     scales = [[s for _, (s, _) in row] for row in outputs]
     length = min(len(s.coeffs) for pair in pairs for s in pair)
-    parts = _worker_count(pairs, outputs, length)
-    shares = _run_shares(
-        lambda part: _share(pairs, scales, factors, consts, length, part, parts), parts
-    )
-    order = [m for part in range(parts) for m in _share_indices(length, part, parts)]
     result = []
-    for j in range(len(outputs)):
-        found = dict(zip(order, (x for rows in shares for x in rows[j])))
-        out = [found[m] for m in range(length)]
+    for out in _share(pairs, scales, factors, consts, length):
         d = lcm(*(e for _, e in out))
         result.append(([x * (d // e) for x, e in out], d))
     return result

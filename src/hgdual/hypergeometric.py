@@ -398,8 +398,8 @@ def verify_euler_identity(a1, a2, b1, N):
 # read these names as module attributes, and q_hypergeometric defines the
 # same ones. Besides the aliases below they are dual_operator (imported),
 # dual_unit, argument_rescale, psi_det, sample_params, solution_basis,
-# duality_matrix, bilinear_sum_table and structure_ok; test_family_surface
-# in tests/test_cli.py checks the list on both modules.
+# c_constants, duality_matrix, bilinear_sum_table and structure_ok;
+# test_family_surface in tests/test_cli.py checks the list on both modules.
 Params = HGParams
 operator = hg_operator
 psi = psi_matrix

@@ -344,6 +344,7 @@ dual_operator = q_dual_operator
 dual_unit = q_dual_unit
 psi = psi_q_matrix
 solution_basis = q_solution_basis
+c_constants = q_c_constants
 duality_matrix = q_duality_matrix
 bilinear_sum_table = q_bilinear_sum_table
 verify = verify_theorem2

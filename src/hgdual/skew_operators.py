@@ -13,6 +13,7 @@ RationalFunction, normalised once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb, lcm, prod
 from operator import mul
 
@@ -21,6 +22,7 @@ from .exact_algebra import (
     Q,
     RationalFunction,
     integer_first_mismatch,
+    is_integer,
     poly_lcm,
     rat,
     series_of_integer_vector,
@@ -364,15 +366,23 @@ class VerificationReport:
         return tuple(c for c in self.cells if not c.passed)
 
 
+def _entry_ok(m, k, l, structure_ok):
+    """structure_ok(k, l, m[k][l]), and deg P <= r and deg Q <= r for the
+    entry m[k][l] = P/Q of the r x r matrix m."""
+    entry, r = m[k][l], len(m)
+    return structure_ok(k, l, entry) and entry.num.degree <= r and entry.den.degree <= r
+
+
 def check_cells(m, sums, structure_ok):
     """Certify each cell (k, l) of the r x r duality matrix m against its
     bilinear sum sums[k][l], an integer vector (v, d) through z^N, N > 2r.
 
-    A cell passes when v/d equals the expansion of m[k][l] through z^N,
-    structure_ok(k, l, m[k][l]) holds (the family's zero pattern and closed
-    forms), and m[k][l] = P/Q has deg P <= r and deg Q <= r. A failing
-    cell carries m[k][l], the first 2r+2 coefficients of the sum and,
-    when the series differ, the index of the first coefficient that does.
+    A cell passes when v/d equals the expansion of m[k][l] through z^N and
+    the entry meets structure_ok (the family's zero pattern and closed
+    forms) and the degree bound deg P, deg Q <= r on m[k][l] = P/Q
+    (_entry_ok). A failing cell carries m[k][l], the first 2r+2
+    coefficients of the sum and, when the series differ, the index of the
+    first coefficient that does.
 
     The degree bound is exactly what rational reconstruction of the sum
     with degrees (r, r) would certify, because the sum is already proved
@@ -392,12 +402,7 @@ def check_cells(m, sums, structure_ok):
             v, d = sums[k][l]
             entry = m[k][l]
             first_diff = integer_first_mismatch(v, d, entry)
-            ok = (
-                first_diff is None
-                and structure_ok(k, l, entry)
-                and entry.num.degree <= r
-                and entry.den.degree <= r
-            )
+            ok = first_diff is None and _entry_ok(m, k, l, structure_ok)
             cells.append(
                 CellResult(
                     (k, l),
@@ -449,6 +454,118 @@ def annihilated(op, entries):
     return True
 
 
+def _times_companion(op, mat):
+    """mat C^ for the companion matrix C^ = A_r C of op cleared by its
+    leading coefficient: A_r on the superdiagonal and -A_0, ..., -A_(r-1)
+    in the last row, so that A_r X F = C^ F + (0, ..., 0, L f) for the
+    column F = (X^l f)_(l<r). Column j of mat C^ is A_r times column j-1
+    of mat less A_j times its last column."""
+    a, r = op.coeffs, op.order
+    return [
+        [(row[j - 1] * a[r] if j else _ZERO) - row[r - 1] * a[j] for j in range(r)]
+        for row in mat
+    ]
+
+
+def _transpose(mat):
+    return [list(col) for col in zip(*mat)]
+
+
+def lagrange_identity(op, dual, psi):
+    """True when the polynomial matrix psi satisfies the Lagrange identity
+    of op and its dual op*, with C^ and C^* their companion matrices
+    (_times_companion) and A_r, A*_r their leading coefficients:
+      theta: A_r C^*^T Psi + A_r A*_r theta(Psi) + A*_r Psi C^ = 0;
+      q:     C^*^T Psi(qz) C^ = A_r A*_r Psi.
+    For the columns F = (X^l f)_(l<r) and G = (X^k g)_(k<r) it makes
+    A_r A*_r theta(G^T Psi F), resp. A_r A*_r (H(qz) - H) for
+    H = G^T Psi F, a sum of multiples of L f and op*(g)."""
+    unit = op.coeffs[-1] * dual.coeffs[-1]
+    if op.mode == THETA:
+        left = _transpose(_times_companion(dual, _transpose(psi)))
+        right = _times_companion(op, psi)
+        return all(
+            (x * op.coeffs[-1] + e.theta() * unit + y * dual.coeffs[-1]).is_zero
+            for xs, es, ys in zip(left, psi, right)
+            for x, e, y in zip(xs, es, ys)
+        )
+    shifted = _transpose([[e.scale_arg(op.q) for e in row] for row in psi])
+    left = _times_companion(op, _transpose(_times_companion(dual, shifted)))
+    return left == [[e * unit for e in row] for row in psi]
+
+
+def pairing_constants(psi, primal, dual, constants, N):
+    """True when the pairing H_ij = sum_kl Psi_kl X^k(g_i) X^l(f_j) of the
+    tagged series f_j of primal and g_i of dual starts, for i = j, with
+    constants[i], and has, for i != j, no term z^n, n <= N, that X maps as
+    it maps a constant.
+
+    With x_j and x*_i the offsets of f_j and g_i, H_ii starts with
+    phi_i(0) psi_i(0) sum_kl Psi_kl(0) x*_i^k x_i^l, and term z^n of H_ij
+    has the eigenvalue x*_i + x_j + n under theta, resp. x*_i x_j q^n under
+    Delta, where a constant has 0 resp. 1.
+    """
+    at_zero = [[e.coefficient(0) for e in row] for row in psi]
+    for i, (g, c) in enumerate(zip(dual, constants)):
+        for j, f in enumerate(primal):
+            if i == j:
+                total = sum(
+                    e * g.offset**k * f.offset**l
+                    for k, row in enumerate(at_zero)
+                    for l, e in enumerate(row)
+                )
+                if f.body.coeffs[0] * g.body.coeffs[0] * total != c:
+                    return False
+            elif f.mode == THETA:
+                e = g.offset + f.offset
+                if is_integer(e) and -N <= e <= 0:
+                    return False
+            else:
+                e, n = g.offset * f.offset, 0
+                while e > 1 and n < N:
+                    e, n = e * f.q, n + 1
+                if e == 1:
+                    return False
+    return True
+
+
+def pairing_certifies(family, p, N, m):
+    """True when five exact checks prove, with no series product, that the
+    bilinear sums of the family's solution bases equal m through z^N:
+    1. op = family.operator(p) annihilates the primal basis (annihilated);
+    2. op* = family.dual_operator(op) annihilates the dual basis;
+    3. Psi = family.psi(op) satisfies lagrange_identity, and the leading
+       coefficients of op and op* are units of the power series;
+    4. pairing_constants holds with C_i = family.c_constants(p), the
+       constants whose inverses weight the sums;
+    5. m Psi = 1.
+
+    The sums are S = F W G^T, with F and G the matrices of the columns
+    (X^l f_i)_(l<r) and (X^k g_i)_(k<r) and W = diag(1/C_i). By checks
+    1-3, H = G^T Psi F satisfies theta(H) = 0, resp. H(qz) = H, through
+    z^N, so every term of H that X does not map as a constant vanishes;
+    by check 4, H = diag(C_i), the offsets are distinct (its terms n = 0)
+    and phi_i(0) psi_i(0) != 0. At z = 0 the bodies of F and G are then
+    Vandermonde matrices in the offsets times diag(phi_i(0)), resp.
+    diag(psi_i(0)), so F and G are invertible through z^N and
+    S = Psi^(-1) = m by check 5. A check that fails refuses the
+    certificate; it proves no cell wrong.
+    """
+    op = family.operator(p)
+    dual_op = family.dual_operator(op)
+    psi = family.psi(op)
+    primal = family.solution_basis(p, N, "primal").entries
+    dual = family.solution_basis(p, N, "dual").entries
+    return (
+        annihilated(op, primal)
+        and annihilated(dual_op, dual)
+        and op.coeffs[-1].coefficient(0) * dual_op.coeffs[-1].coefficient(0) != 0
+        and lagrange_identity(op, dual_op, psi)
+        and pairing_constants(psi, primal, dual, family.c_constants(p), N)
+        and matrix_mul(m, psi) == matrix_identity(len(m))
+    )
+
+
 def minimum_order(r):
     """The least truncation order a certified verification of order r
     accepts."""
@@ -458,18 +575,26 @@ def minimum_order(r):
 def verify_duality(family, p, N):
     """Check, cell by cell, that the bilinear sums of the solution bases
     reproduce M = Psi^{-1} exactly through z^N, together with the
-    family's closed-form zero pattern (check_cells).
+    family's closed-form zero pattern and the degree bounds (check_cells).
+
+    When every entry of M meets the zero pattern and the degree bounds and
+    pairing_certifies proves the sums equal to M, every cell passes and no
+    sum is formed. Otherwise the sums are formed and check_cells reports
+    each cell, so that a refused certificate costs time only.
 
     family is the family module, hgdual.hypergeometric or
     hgdual.q_hypergeometric. Its surface is read through module attributes
-    at call time: duality_matrix(p), bilinear_sum_table(p, N) and
-    structure_ok(p, k, l, entry).
+    at call time: operator, dual_operator, psi, solution_basis and
+    c_constants (pairing_certifies), duality_matrix(p),
+    bilinear_sum_table(p, N) and structure_ok(p, k, l, entry).
     """
     minimum = minimum_order(p.r)
     if N < minimum:
         raise InsufficientPrecision(N, minimum)
-    return check_cells(
-        family.duality_matrix(p),
-        family.bilinear_sum_table(p, N),
-        lambda k, l, entry: family.structure_ok(p, k, l, entry),
-    )
+    m = family.duality_matrix(p)
+    structure = partial(family.structure_ok, p)
+    cells = [(k, l) for k in range(p.r) for l in range(p.r)]
+    entries_ok = all(_entry_ok(m, k, l, structure) for k, l in cells)
+    if entries_ok and pairing_certifies(family, p, N, m):
+        return VerificationReport(tuple(CellResult(cell, True) for cell in cells))
+    return check_cells(m, family.bilinear_sum_table(p, N), structure)

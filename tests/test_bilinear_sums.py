@@ -1,19 +1,14 @@
-"""The bilinear sum tables that the verifiers use, against the direct r^3
-definition (bilinear_sum over the advance tables); the integer-vector
-kernel under them, against the TruncatedSeries operations, split over
-forked workers as well as serial; the failure reports the verifiers give
-for a cell that does not match; and the r = 2 product identities that
-paper-regression certifies on the tables."""
+"""The bilinear sum tables that the verifiers form when the pairing
+certificate is refused or a cell fails, against the direct r^3 definition
+(bilinear_sum over the advance tables); the integer-vector kernel under
+them, against the TruncatedSeries operations; the failure reports the
+verifiers give for a cell that does not match; and the r = 2 product
+identities that paper-regression certifies on the tables."""
 
 import contextlib
-import gc
 import io
-import marshal
-import os
 import random
-import signal
-import threading
-import time
+from functools import partial
 from math import gcd, lcm, prod
 
 import pytest
@@ -29,7 +24,13 @@ from hgdual.skew_operators import (
     SolutionBasis,
     TaggedSeries,
     annihilated,
+    check_cells,
+    lagrange_identity,
+    matrix_identity,
+    matrix_mul,
     minimum_order,
+    pairing_certifies,
+    pairing_constants,
 )
 import hgdual.exact_algebra as exact_algebra
 from hgdual.exact_algebra import (
@@ -51,6 +52,7 @@ from oracles import (
     add,
     advance,
     bilinear_sum,
+    gauss_jordan_invert,
     mul,
     ratfunc,
     rf_add,
@@ -223,253 +225,6 @@ class TestIntegerMatchesRatfunc:
             )
 
 
-# The kernel split over forked workers. Each test pins the worker count
-# through the CPU affinity the kernel reads and the fork threshold.
-
-
-def _fork_counter(mp):
-    """Count the calls of os.fork from here on."""
-    calls = []
-    fork = os.fork
-
-    def counted():
-        calls.append(1)
-        return fork()
-
-    mp.setattr(os, "fork", counted)
-    return calls
-
-
-def _split_over(mp, workers):
-    """Make every kernel call split over the given number of workers, above
-    MAX_KERNEL_WORKERS too: the cap is a timing policy, and the split is
-    exact for any count."""
-    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
-    mp.setattr(exact_algebra, "MAX_KERNEL_WORKERS", max(workers, 1))
-    mp.setattr(exact_algebra, "FORK_MIN_WORK", 0)
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-SPLIT_PAIRS = [
-    (
-        TruncatedSeries([Q(n + 1, 3 + n % 4) for n in range(9)]),
-        TruncatedSeries([Q(2 - n, 5 + 2 * (n % 3)) for n in range(9)]),
-    ),
-    (
-        TruncatedSeries([Q((-1) ** n, 7 + n) for n in range(9)]),
-        TruncatedSeries([Q(n * n + 1, 2 + n % 5) for n in range(9)]),
-    ),
-]
-SPLIT_OUTPUTS = [
-    [
-        (Q(1, 3), TruncatedSeries([n + 1 for n in range(9)])),
-        (Q(-2), TruncatedSeries([1] * 9)),
-    ],
-    [
-        (Q(5, 7), TruncatedSeries([Q(1, 2)] * 9)),
-        (Q(1), TruncatedSeries([n * n for n in range(9)])),
-    ],
-]
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    st.lists(st.tuples(_kernel_series(7), _kernel_series(7)), min_size=1, max_size=3),
-    st.lists(st.lists(st.tuples(rationals, _kernel_series(7)), min_size=3, max_size=3),
-             min_size=1, max_size=3),
-)
-def test_split_equals_serial(pairs, outputs):
-    outputs = [row[: len(pairs)] for row in outputs]
-    serial = _combine(pairs, outputs)
-    for workers in (1, 2, 3):
-        with pytest.MonkeyPatch.context() as mp:
-            _split_over(mp, workers)
-            forks = _fork_counter(mp)
-            assert _combine(pairs, outputs) == serial, workers
-            assert len(forks) == workers - 1
-    _assert_no_child_left()
-
-
-@pytest.mark.parametrize("parts", [1, 2, 3, 4])
-def test_shares_form_each_coefficient_once(parts):
-    """The shares partition the coefficients, each keeps m with
-    length - 1 - m, and _share forms exactly the coefficients of its
-    share."""
-    for length in range(1, 42):
-        shares = [exact_algebra._share_indices(length, k, parts) for k in range(parts)]
-        assert sorted(m for share in shares for m in share) == list(range(length))
-        for share in shares:
-            assert share == sorted(share)
-            assert all(length - 1 - m in share for m in share)
-    pairs = [tuple(TruncatedSeries(s.coeffs[:7]) for s in pair) for pair in SPLIT_PAIRS]
-    ones = [1] * 7
-    for k in range(parts):
-        rows = exact_algebra._share(pairs, [[ones, ones]], [[1, 1]], [1], 7, k, parts)
-        assert len(rows[0]) == len(exact_algebra._share_indices(7, k, parts))
-
-
-@pytest.mark.parametrize("length", [6, 7, 8, 9])
-def test_two_shares_equal_serial(monkeypatch, length):
-    """The kernel split in two, at even and odd lengths."""
-    pairs = [tuple(TruncatedSeries(s.coeffs[:length]) for s in pair) for pair in SPLIT_PAIRS]
-    outputs = [
-        [(w, TruncatedSeries(s.coeffs[:length])) for w, s in row] for row in SPLIT_OUTPUTS
-    ]
-    serial = _combine(pairs, outputs)
-    _split_over(monkeypatch, 2)
-    forks = _fork_counter(monkeypatch)
-    assert _combine(pairs, outputs) == serial
-    assert len(forks) == 1
-    _assert_no_child_left()
-
-
-def test_split_without_fork(monkeypatch):
-    serial = _combine(SPLIT_PAIRS, SPLIT_OUTPUTS)
-    _split_over(monkeypatch, 2)
-
-    def refuse():
-        raise OSError("no process left")
-
-    monkeypatch.setattr(os, "fork", refuse)
-    assert _combine(SPLIT_PAIRS, SPLIT_OUTPUTS) == serial
-
-
-def test_failed_child_share_is_recomputed(monkeypatch):
-    serial = _combine(SPLIT_PAIRS, SPLIT_OUTPUTS)
-    _split_over(monkeypatch, 3)
-    share = exact_algebra._share
-    parent = os.getpid()
-
-    def child_fails(*args):
-        part = args[-2]
-        if part != 0 and os.getpid() != parent:
-            raise RuntimeError("share %d fails in the child" % part)
-        return share(*args)
-
-    monkeypatch.setattr(exact_algebra, "_share", child_fails)
-    assert _combine(SPLIT_PAIRS, SPLIT_OUTPUTS) == serial
-    _assert_no_child_left()
-
-
-def test_undecodable_payload_is_recomputed(monkeypatch):
-    serial = _combine(SPLIT_PAIRS, SPLIT_OUTPUTS)
-    _split_over(monkeypatch, 2)
-    # only the children write payloads: each sends a truncated one
-    monkeypatch.setattr(
-        marshal, "dump", lambda value, pipe: pipe.write(marshal.dumps(value)[:-2])
-    )
-    assert _combine(SPLIT_PAIRS, SPLIT_OUTPUTS) == serial
-    _assert_no_child_left()
-
-
-def test_children_reaped_when_parent_share_raises(monkeypatch):
-    _split_over(monkeypatch, 3)
-    share = exact_algebra._share
-
-    def parent_fails(*args):
-        if args[-2] == 0:
-            raise KeyboardInterrupt
-        return share(*args)
-
-    monkeypatch.setattr(exact_algebra, "_share", parent_fails)
-    with pytest.raises(KeyboardInterrupt):
-        _combine(SPLIT_PAIRS, SPLIT_OUTPUTS)
-    _assert_no_child_left()
-
-
-class Fired(Exception):
-    """Raised by the test timer's SIGALRM handler."""
-
-
-def _fire(signum, frame):
-    raise Fired
-
-
-@pytest.fixture
-def alarm():
-    """A SIGALRM handler that raises Fired, with the cyclic garbage
-    collector off: a handler that runs inside a gc callback (hypothesis
-    registers one) raises there, where the exception is swallowed and
-    interrupts nothing. The timer is off and gc on again afterwards."""
-    old = signal.signal(signal.SIGALRM, _fire)
-    gc.disable()
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        gc.enable()
-        signal.signal(signal.SIGALRM, old)
-
-
-def test_interrupt_waits_for_the_held_step(alarm):
-    done = []
-
-    def step():
-        signal.setitimer(signal.ITIMER_REAL, 0.01)
-        time.sleep(0.1)
-        done.append(1)
-
-    with pytest.raises(Fired):
-        exact_algebra._holding_interrupts(step)
-    assert done == [1]
-    assert signal.SIGALRM not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
-
-
-def test_timer_interrupt_leaves_no_child_nor_pipe(alarm):
-    """A timer exception raised at any point of a split call (here at delays
-    from 0.2 to 8 ms) leaves no child unreaped and no pipe open."""
-    fds = len(os.listdir("/proc/self/fd"))
-    serial = _combine(SPLIT_PAIRS, SPLIT_OUTPUTS)
-    with pytest.MonkeyPatch.context() as mp:
-        _split_over(mp, 3)
-        for delay in range(1, 41):
-            got = None
-            signal.setitimer(signal.ITIMER_REAL, delay / 5000)
-            try:
-                got = _combine(SPLIT_PAIRS, SPLIT_OUTPUTS)
-                signal.setitimer(signal.ITIMER_REAL, 0)
-            except Fired:
-                pass
-            assert got in (None, serial)
-            _assert_no_child_left()
-    assert len(os.listdir("/proc/self/fd")) == fds
-
-
-def test_serial_on_one_cpu(monkeypatch):
-    _split_over(monkeypatch, 1)
-    forks = _fork_counter(monkeypatch)
-    _combine(SPLIT_PAIRS, SPLIT_OUTPUTS)
-    assert forks == []
-
-
-def test_serial_with_another_thread(monkeypatch):
-    serial = _combine(SPLIT_PAIRS, SPLIT_OUTPUTS)
-    _split_over(monkeypatch, 2)
-    forks = _fork_counter(monkeypatch)
-    release = threading.Event()
-    waiter = threading.Thread(target=release.wait, args=(10,))
-    waiter.start()
-    try:
-        assert _combine(SPLIT_PAIRS, SPLIT_OUTPUTS) == serial
-    finally:
-        release.set()
-        waiter.join(10)
-    assert not waiter.is_alive()
-    assert forks == []
-
-
-def test_serial_below_the_work_threshold(monkeypatch):
-    _split_over(monkeypatch, 2)
-    monkeypatch.setattr(exact_algebra, "FORK_MIN_WORK", 10**30)
-    forks = _fork_counter(monkeypatch)
-    _combine(SPLIT_PAIRS, SPLIT_OUTPUTS)
-    assert forks == []
-
-
 def _advance_table(entries, count):
     """The powers X^0(s)..X^(count-1)(s) of each entry s."""
     table = []
@@ -640,10 +395,14 @@ def test_certified_table_equals_all_outputs(family, ab, extra):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_generic_parameters_take_the_certified_path(monkeypatch, family, r):
+    """A passing verify on generic parameters forms no sum (the pairing
+    certificate holds), and the table forms r of its 2r-1 outputs."""
     module, _, base = FAMILIES[family]
     p = module.sample_params(random.Random(600 + r), r, *base)
     counts = _kernel_outputs(monkeypatch, module)
     assert module.verify(p, minimum_order(r)).passed
+    assert counts == []
+    module.bilinear_sum_table(p, minimum_order(r))
     assert counts == [r]
 
 
@@ -732,6 +491,188 @@ def test_off_operator_basis_takes_all_outputs(monkeypatch, family, where):
     assert _cli_bytes(module, p, N) == stdout
 
 
+# The pairing certificate: verify forms no sum when the five checks of
+# pairing_certifies hold, and forms them all when one refuses. Each check
+# refuses on its own the inputs that break what it certifies, and after a
+# refusal the report is that of the path that forms every sum.
+
+
+def _kernel_report(module, p, N):
+    """The report of verify on the path that forms every sum."""
+    return check_cells(
+        module.duality_matrix(p),
+        module.bilinear_sum_table(p, N),
+        partial(module.structure_ok, p),
+    )
+
+
+def _five_checks(module, p, N, m):
+    """The verdicts of the checks of pairing_certifies, in its order."""
+    op = module.operator(p)
+    dual_op = module.dual_operator(op)
+    psi = module.psi(op)
+    primal = module.solution_basis(p, N, "primal").entries
+    dual = module.solution_basis(p, N, "dual").entries
+    return [
+        annihilated(op, primal),
+        annihilated(dual_op, dual),
+        lagrange_identity(op, dual_op, psi),
+        pairing_constants(psi, primal, dual, module.c_constants(p), N),
+        matrix_mul(m, psi) == matrix_identity(p.r),
+    ]
+
+
+def _assert_refused(module, p, N):
+    m = module.duality_matrix(p)
+    assert not pairing_certifies(module, p, N, m)
+    assert module.verify(p, N) == _kernel_report(module, p, N)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(2, 5).flatmap(_upper_and_lower))
+def test_certified_verdicts_equal_the_kernel_tables(family, ab):
+    module, _, base = FAMILIES[family]
+    p = _generic(module.Params.make, *base, *ab)
+    N = minimum_order(p.r)
+    assert pairing_certifies(module, p, N, module.duality_matrix(p))
+    assert module.verify(p, N) == _kernel_report(module, p, N)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("which", ["primal", "dual"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_moved_body_coefficient_is_refused(family, which, where):
+    """Check 1 (primal) or 2 (dual) refuses a body coefficient moved by 1."""
+    module, name, base = FAMILIES[family]
+    check = ["primal", "dual"].index(which)
+    for r in (2, 3, 4):
+        p = module.sample_params(random.Random(3), r, *base)
+        N = minimum_order(r)
+        n = {"first": 0, "middle": N // 2, "last": N}[where]
+        with pytest.MonkeyPatch.context() as mp:
+            _perturb_basis(mp, module, name, (which, 1, n, Q(1)))
+            verdicts = _five_checks(module, p, N, module.duality_matrix(p))
+            assert not verdicts[check] and verdicts[1 - check], r
+            assert verdicts[2] and verdicts[4], r
+            _assert_refused(module, p, N)
+            assert not module.verify(p, N).passed
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("added", [[0, 0, 1], [1]], ids=["z^2", "1"])
+def test_moved_matrix_entry_is_refused(family, added):
+    """Check 5 alone refuses M with z^2 or 1 added to a corner."""
+    module, _, base = FAMILIES[family]
+    for r in (2, 3, 4):
+        p = module.sample_params(random.Random(3), r, *base)
+        N = minimum_order(r)
+        for k, l in {(0, 0), (r - 1, r - 1), (r - 1, 0), (0, r - 1)}:
+            m = module.duality_matrix(p)
+            m[k][l] = rf_add(m[k][l], ratfunc(Polynomial(added)))
+            assert _five_checks(module, p, N, m) == [True] * 4 + [False], (r, k, l)
+            assert not pairing_certifies(module, p, N, m)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(module, "duality_matrix", lambda p, m=m: list(map(list, m)))
+                report = module.verify(p, N)
+                assert report == _kernel_report(module, p, N)
+                assert not report.passed
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("added", [[0, 1], [1]], ids=["z", "1"])
+def test_moved_psi_entry_is_refused(family, added):
+    """Check 3 refuses Psi with z or 1 added at (0,0), (r-1,0) or (0,r-1),
+    and check 4 refuses it too where the constant term moved. Against the
+    right M, check 5 refuses it as well, and the sums formed after the
+    refusal pass every cell. Against M = Psi^(-1) of Psi with z added,
+    which checks 4 and 5 accept, check 3 refuses alone, and the sums
+    fail."""
+    module, _, base = FAMILIES[family]
+    psi = module.psi
+    for r in (2, 3, 4):
+        p = module.sample_params(random.Random(3), r, *base)
+        N = minimum_order(r)
+        for k, l in {(0, 0), (r - 1, 0), (0, r - 1)}:
+
+            def perturbed(op, k=k, l=l):
+                mat = psi(op)
+                mat[k][l] = mat[k][l] + Polynomial(added)
+                return mat
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(module, "psi", perturbed)
+                verdicts = _five_checks(module, p, N, module.duality_matrix(p))
+                assert verdicts == [True, True, False, added[0] == 0, False], (r, k, l)
+                _assert_refused(module, p, N)
+                assert module.verify(p, N).passed
+                if added[0] != 0:
+                    continue
+                moved = gauss_jordan_invert(perturbed(module.operator(p)))
+                mp.setattr(module, "duality_matrix", lambda p: list(map(list, moved)))
+                verdicts = _five_checks(module, p, N, moved)
+                assert verdicts == [True, True, False, True, True], (r, k, l)
+                _assert_refused(module, p, N)
+                assert not module.verify(p, N).passed
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("change", ["swapped", "scaled"])
+def test_mispaired_or_scaled_dual_basis_is_refused(monkeypatch, family, change):
+    """Check 4 alone refuses a dual basis with g_0 and g_1 swapped, or with
+    g_0 scaled by 2: each entry still solves the dual equation."""
+    module, name, base = FAMILIES[family]
+    basis = getattr(module, name)
+
+    def changed(p, N, which="primal"):
+        entries = list(basis(p, N, which).entries)
+        if which == "dual" and change == "swapped":
+            entries[0], entries[1] = entries[1], entries[0]
+        elif which == "dual":
+            e = entries[0]
+            body = TruncatedSeries([2 * c for c in e.body.coeffs])
+            entries[0] = TaggedSeries(e.mode, e.offset, body, e.q)
+        return SolutionBasis(tuple(entries))
+
+    monkeypatch.setattr(module, name, changed)
+    monkeypatch.setattr(module, "solution_basis", changed)
+    for r in (2, 3, 4):
+        p = module.sample_params(random.Random(3), r, *base)
+        N = minimum_order(r)
+        verdicts = _five_checks(module, p, N, module.duality_matrix(p))
+        assert verdicts == [True, True, True, False, True], r
+        _assert_refused(module, p, N)
+        assert not module.verify(p, N).passed
+
+
+def _diagonal_constant(psi, f, g):
+    """phi(0) psi(0) sum_kl Psi_kl(0) y^k x^l, for f = z^x phi, g = z^y psi."""
+    return f.body.coeffs[0] * g.body.coeffs[0] * sum(
+        e.coefficient(0) * g.offset**k * f.offset**l
+        for k, row in enumerate(psi)
+        for l, e in enumerate(row)
+    )
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("n", [0, 3])
+def test_resonant_offsets_are_refused(family, n):
+    """Check 4 refuses a pairing of f_j with g_i, i != j, with a term z^n,
+    n <= N, that X maps as a constant: here the primal basis (f_0, f_0')
+    against the dual basis (g_0, g_0), f_0' having the offset of
+    z^(-n) f_0, even with the constants that the diagonal pairings have."""
+    module, _, base = FAMILIES[family]
+    p = module.sample_params(random.Random(3), 2, *base)
+    N = minimum_order(2)
+    psi = module.psi(module.operator(p))
+    f = module.solution_basis(p, N, "primal").entries[0]
+    g = module.solution_basis(p, N, "dual").entries[0]
+    offset = f.offset - n if module is hg else f.offset / p.q**n
+    moved = TaggedSeries(f.mode, offset, f.body, f.q)
+    constants = [_diagonal_constant(psi, f, g), _diagonal_constant(psi, moved, g)]
+    assert pairing_constants(psi, [f], [g], constants[:1], N)
+    assert not pairing_constants(psi, [f, moved], [g, g], constants, N)
+
+
 def _perturb(monkeypatch, module, name, cell):
     """Replace module.name by a version whose matrix has z^(k+l) added to
     cell (k, l); returns a dict that receives the perturbed entry."""
@@ -817,9 +758,9 @@ def _four_products(basis, p, N):
 
 
 def _perturb_basis(mp, module, name, change):
-    """Replace module.name by a basis function that adds delta to
-    coefficient n of body i of the basis `which`, change = (which, i, n,
-    delta)."""
+    """Replace module.name, and the family surface name solution_basis, by
+    a basis function that adds delta to coefficient n of body i of the
+    basis `which`, change = (which, i, n, delta)."""
     which, i, n, delta = change
     original = getattr(module, name)
 
@@ -835,6 +776,7 @@ def _perturb_basis(mp, module, name, change):
         return SolutionBasis(tuple(entries))
 
     mp.setattr(module, name, perturbed)
+    mp.setattr(module, "solution_basis", perturbed)
 
 
 basis_change = st.tuples(

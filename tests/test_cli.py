@@ -10,6 +10,7 @@ import hgdual
 import hgdual.cli
 import hgdual.hypergeometric as hg
 import hgdual.q_hypergeometric as qhg
+import hgdual.skew_operators as skew_operators
 from hgdual.cli import (
     EXIT_DEGENERATE,
     EXIT_MISMATCH,
@@ -22,12 +23,10 @@ from hgdual.cli import (
     main,
 )
 from hgdual.exact_algebra import (
-    MAX_KERNEL_WORKERS,
     Polynomial,
     Q,
     RationalFunction,
     TruncatedSeries,
-    kernel_workers,
     rat,
 )
 from oracles import ratfunc, rf_add
@@ -365,13 +364,8 @@ def test_version(capsys):
         main(["--version"])
     assert exit_info.value.code == 0
     out = capsys.readouterr().out
-    assert out == "hgdual %s, backend %s, kernel workers %d\n" % (
-        hgdual.__version__,
-        Q.__module__,
-        kernel_workers(),
-    )
+    assert out == "hgdual %s, backend %s\n" % (hgdual.__version__, Q.__module__)
     assert Q.__module__ in ("fractions", "gmpy2")
-    assert 1 <= kernel_workers() <= MAX_KERNEL_WORKERS
 
 
 class TestDeterminism:
@@ -553,6 +547,39 @@ def test_pinned_stdout(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# verify certifies M from the pairing and forms the bilinear sums only when
+# the certificate is refused or a cell fails: both paths print the same
+# bytes, on passing samples and on a failing cell.
+@pytest.mark.parametrize(
+    "family, args",
+    [(hg, ("--hg",)), (qhg, ("--qhg", "--q", "1/2")), (qhg, ("--qhg", "--q", "2/3"))],
+    ids=["theta", "q=1/2", "q=2/3"],
+)
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_certified_and_kernel_paths_print_the_same_bytes(
+    capsys, monkeypatch, family, args, r
+):
+    def outputs():
+        return [
+            run(capsys, "verify", *args, "-r", str(r), "--seed", "1", "--format", fmt)
+            for fmt in ("text", "json")
+        ]
+
+    def refused():
+        with monkeypatch.context() as mp:
+            mp.setattr(skew_operators, "pairing_certifies", lambda *args: False)
+            return outputs()
+
+    passing = outputs()
+    assert [code for code, _, _ in passing] == [EXIT_PASS] * 2
+    assert refused() == passing
+    # every cell but (0, 0) passes
+    monkeypatch.setattr(family, "structure_ok", lambda p, k, l, e: (k, l) != (0, 0))
+    failing = outputs()
+    assert [code for code, _, _ in failing] == [EXIT_MISMATCH] * 2
+    assert refused() == failing
+
+
 # Every series product a command forms runs in the integer kernel
 # (exact_algebra.bilinear_combinations); the Fraction product of
 # TruncatedSeries is the tests' direct definition only.
@@ -588,6 +615,7 @@ FAMILY_SURFACE = (
     "psi_det",
     "sample_params",
     "solution_basis",
+    "c_constants",
     "duality_matrix",
     "bilinear_sum_table",
     "structure_ok",

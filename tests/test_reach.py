@@ -1,11 +1,10 @@
 """The package holds only what a command runs: every function and method
 defined in src/hgdual/ is entered by some command of the command line,
-run in-process under sys.setprofile in both families, on passing and
-failing cells and on the forked kernel split. What only the tests call
-lives in tests/oracles.py."""
+run in-process under sys.setprofile in both families, on passing cells
+(the pairing certificate) and on failing ones (the bilinear-sum kernel).
+What only the tests call lives in tests/oracles.py."""
 
 import inspect
-import os
 import sys
 
 import hgdual
@@ -42,10 +41,9 @@ COMMANDS = (
     "paper-regression",
     "paper-regression --format json",
 )
-# Each also once with a failing cell, and once with the kernel split over
-# two forked processes.
+# Each also once with a failing cell, which verify certifies on the
+# bilinear-sum kernel.
 FAILING = ("verify --hg -r 2 --seed 1", "verify --qhg --q 1/2 -r 2 --format json")
-SPLIT = ("verify --hg -r 2 --seed 1", "verify --qhg --q 1/2 -r 2 --seed 1")
 
 
 def _defined():
@@ -93,11 +91,6 @@ def test_every_package_function_is_entered(capsys, monkeypatch):
                 # every cell but (0, 0) passes
                 mp.setattr(family, "structure_ok", lambda p, k, l, e: (k, l) != (0, 0))
                 _run(FAILING[family is qhg])
-        with monkeypatch.context() as mp:
-            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-            mp.setattr(exact_algebra, "FORK_MIN_WORK", 0)
-            for argv in SPLIT:
-                _run(argv)
     finally:
         sys.setprofile(None)
     capsys.readouterr()
@@ -109,7 +102,6 @@ def test_every_package_function_is_entered(capsys, monkeypatch):
         and name.rsplit(".", 1)[-1] not in VALUE_METHODS
     )
     assert unreached == []
-
 
 
 def test_allowed_names_are_defined():

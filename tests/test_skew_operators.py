@@ -21,6 +21,7 @@ from hgdual.skew_operators import (
     TaggedSeries,
     _triangular_order,
     dual_operator,
+    lagrange_identity,
     matrix_det,
     matrix_identity,
     matrix_invert,
@@ -325,6 +326,33 @@ def test_psi_matches_rational_function_construction(data, r):
     assert lifted(psi_matrix(op)) == psi_by_rational_functions(op)
     op = SkewOperator(QSHIFT, coeffs, q=data.draw(st.sampled_from([Q(1, 2), Q(2, 3)])))
     assert lifted(psi_q_matrix(op)) == psi_q_by_rational_functions(op)
+
+
+_COEFF = st.lists(
+    st.builds(Q, st.integers(-5, 5), st.integers(1, 4)), min_size=1, max_size=4
+).map(Polynomial)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), r=st.integers(2, 5))
+def test_lagrange_identity_of_any_operator(data, r):
+    """Check 3 of the pairing certificate holds for the pairing matrix of
+    any operator of order 2-5 with coefficients of degree 0-3, in both
+    modes, not only for the hypergeometric ones; Psi with z added at (0,0)
+    is refused."""
+    coeffs = [
+        data.draw(_COEFF.filter(lambda p: not p.is_zero) if k in (0, r) else _COEFF)
+        for k in range(r + 1)
+    ]
+    q = data.draw(st.sampled_from([Q(1, 2), Q(2, 3)]))
+    for op, dual, psi in (
+        (SkewOperator(THETA, coeffs), dual_operator, psi_matrix),
+        (SkewOperator(QSHIFT, coeffs, q), q_dual_operator, psi_q_matrix),
+    ):
+        mat = psi(op)
+        assert lagrange_identity(op, dual(op), mat)
+        mat[0][0] = mat[0][0] + P(0, 1)
+        assert not lagrange_identity(op, dual(op), mat)
 
 
 @pytest.mark.parametrize(
