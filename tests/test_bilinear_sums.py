@@ -6,8 +6,12 @@ verifiers give for a cell that does not match; and the r = 2 product
 identities that paper-regression certifies on the tables."""
 
 import contextlib
+import gc
 import io
+import os
 import random
+import signal
+import threading
 from functools import partial
 from math import gcd, lcm, prod
 
@@ -193,6 +197,192 @@ def test_carried_denominators_are_the_prefix_lcm(pairs):
         ]
         assert d_m == lcm(*dens)
         assert cross == [d_m // x for x in dens]
+
+
+# The kernel runs in this process, whatever CPUs, threads, work or fork it
+# meets: it starts no child and opens no pipe, and its sums are exact.
+
+
+def _fork_counter(mp):
+    """Count the calls of os.fork from here on."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    mp.setattr(os, "fork", counted)
+    return calls
+
+
+def _offer_cpus(mp, count):
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_exact(got, pairs, outputs):
+    assert len(got) == len(outputs)
+    for (v, d), expected in zip(got, _expected_combinations(pairs, outputs)):
+        _assert_reduced(v, d)
+        assert series_of_integer_vector(v, d) == expected
+
+
+KERNEL_PAIRS = [
+    (
+        TruncatedSeries([Q(n + 1, 3 + n % 4) for n in range(9)]),
+        TruncatedSeries([Q(2 - n, 5 + 2 * (n % 3)) for n in range(9)]),
+    ),
+    (
+        TruncatedSeries([Q((-1) ** n, 7 + n) for n in range(9)]),
+        TruncatedSeries([Q(n * n + 1, 2 + n % 5) for n in range(9)]),
+    ),
+]
+KERNEL_OUTPUTS = [
+    [
+        (Q(1, 3), TruncatedSeries([n + 1 for n in range(9)])),
+        (Q(-2), TruncatedSeries([1] * 9)),
+    ],
+    [
+        (Q(5, 7), TruncatedSeries([Q(1, 2)] * 9)),
+        (Q(1), TruncatedSeries([n * n for n in range(9)])),
+    ],
+]
+
+
+@pytest.mark.parametrize("length", [6, 7, 8, 9])
+def test_two_shares_equal_serial(monkeypatch, length):
+    """Two CPUs offered, at even and odd lengths: the kernel forks no
+    share and its sums are exact."""
+    pairs = [tuple(TruncatedSeries(s.coeffs[:length]) for s in pair) for pair in KERNEL_PAIRS]
+    outputs = [
+        [(w, TruncatedSeries(s.coeffs[:length])) for w, s in row] for row in KERNEL_OUTPUTS
+    ]
+    _offer_cpus(monkeypatch, 2)
+    forks = _fork_counter(monkeypatch)
+    _assert_exact(_combine(pairs, outputs), pairs, outputs)
+    assert forks == []
+    _assert_no_child_left()
+
+
+def test_split_without_fork(monkeypatch):
+    _offer_cpus(monkeypatch, 2)
+
+    def refuse():
+        raise OSError("no process left")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    _assert_exact(_combine(KERNEL_PAIRS, KERNEL_OUTPUTS), KERNEL_PAIRS, KERNEL_OUTPUTS)
+
+
+def test_children_reaped_when_parent_share_raises(monkeypatch):
+    """An interrupt inside the kernel reaches the caller, with no child
+    started."""
+    _offer_cpus(monkeypatch, 3)
+    forks = _fork_counter(monkeypatch)
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(exact_algebra, "_share", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _combine(KERNEL_PAIRS, KERNEL_OUTPUTS)
+    assert forks == []
+    _assert_no_child_left()
+
+
+class Fired(Exception):
+    """Raised by the test timer's SIGALRM handler."""
+
+
+def _fire(signum, frame):
+    raise Fired
+
+
+@pytest.fixture
+def alarm():
+    """A SIGALRM handler that raises Fired, with the cyclic garbage
+    collector off: a handler that runs inside a gc callback (hypothesis
+    registers one) raises there, where the exception is swallowed and
+    interrupts nothing. The timer is off and gc on again afterwards."""
+    old = signal.signal(signal.SIGALRM, _fire)
+    gc.disable()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        gc.enable()
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_timer_interrupt_leaves_no_child_nor_pipe(alarm, monkeypatch):
+    """A timer exception raised at any point of a kernel call (here at
+    delays from 0.2 to 8 ms) leaves no child and no open file descriptor,
+    and a call it does not reach returns the exact sums."""
+    fds = len(os.listdir("/proc/self/fd"))
+    exact = _combine(KERNEL_PAIRS, KERNEL_OUTPUTS)
+    _assert_exact(exact, KERNEL_PAIRS, KERNEL_OUTPUTS)
+    _offer_cpus(monkeypatch, 3)
+    for delay in range(1, 41):
+        got = None
+        signal.setitimer(signal.ITIMER_REAL, delay / 5000)
+        try:
+            got = _combine(KERNEL_PAIRS, KERNEL_OUTPUTS)
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        except Fired:
+            pass
+        assert got in (None, exact)
+        _assert_no_child_left()
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_serial_on_one_cpu(monkeypatch):
+    _offer_cpus(monkeypatch, 1)
+    forks = _fork_counter(monkeypatch)
+    _assert_exact(_combine(KERNEL_PAIRS, KERNEL_OUTPUTS), KERNEL_PAIRS, KERNEL_OUTPUTS)
+    assert forks == []
+
+
+def test_serial_with_another_thread(monkeypatch):
+    _offer_cpus(monkeypatch, 2)
+    forks = _fork_counter(monkeypatch)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(10,))
+    waiter.start()
+    try:
+        got = _combine(KERNEL_PAIRS, KERNEL_OUTPUTS)
+    finally:
+        release.set()
+        waiter.join(10)
+    assert not waiter.is_alive()
+    _assert_exact(got, KERNEL_PAIRS, KERNEL_OUTPUTS)
+    assert forks == []
+
+
+def test_serial_below_the_work_threshold(monkeypatch):
+    """The kernel has no work threshold: a small call and a call of tall
+    coefficients (3 pairs, 3 outputs, order 30, 300-bit numerators) both
+    run in this process."""
+    rng = random.Random(7)
+
+    def tall():
+        return TruncatedSeries(
+            [Q(rng.getrandbits(300) - 2**299, rng.randrange(1, 10**6)) for _ in range(30)]
+        )
+
+    pairs = [(tall(), tall()) for _ in range(3)]
+    ones = TruncatedSeries([1] * 30)
+    steps = TruncatedSeries([n + 1 for n in range(30)])
+    outputs = [[(Q(k + 1, 2), steps if i == k else ones) for i in range(3)] for k in range(3)]
+    _offer_cpus(monkeypatch, 4)
+    forks = _fork_counter(monkeypatch)
+    _assert_exact(_combine(KERNEL_PAIRS, KERNEL_OUTPUTS), KERNEL_PAIRS, KERNEL_OUTPUTS)
+    _assert_exact(_combine(pairs, outputs), pairs, outputs)
+    assert forks == []
 
 
 class TestIntegerMatchesRatfunc:
