@@ -28,7 +28,6 @@ __all__ = [
     "integer_vector",
     "bilinear_combinations",
     "integer_scale_arg",
-    "integer_quotient",
     "integer_first_mismatch",
     "series_of_integer_vector",
     "PoleAtOrigin",
@@ -217,8 +216,8 @@ def poly_lcm(p, q):
 class RationalFunction:
     """Reduced ratio num / den of two polynomials, den nonzero and made
     monic. The package forms polynomials and normalises each fraction it
-    outputs once, here: the entries of M = Psi^{-1}, of M Psi and of the
-    closed forms they are compared with."""
+    outputs once, here: the entries of M = Psi^{-1} and of the closed
+    forms they are compared with."""
 
     __slots__ = ("num", "den")
 
@@ -240,10 +239,6 @@ class RationalFunction:
     @staticmethod
     def zero():
         return RationalFunction(Polynomial(()), Polynomial.one())
-
-    @staticmethod
-    def one():
-        return RationalFunction(Polynomial.one(), Polynomial.one())
 
     @property
     def is_zero(self):
@@ -419,40 +414,6 @@ def integer_scale_arg(v, d, c):
         ups.append(ups[-1] * u)
         wps.append(wps[-1] * w)
     return [x * a * b for x, a, b in zip(v, ups, reversed(wps))], d * wps[-1]
-
-
-def integer_quotient(terms, unit):
-    """The reduced integer vector (v, d) of (sum_k p_k v_k / d_k) / unit,
-    for terms (p_k, (v_k, d_k)) of Polynomials p_k and integer vectors of
-    one length, and a Polynomial unit with unit(0) != 0.
-
-    Each short p_k, over its own denominator, multiplies v_k over the
-    integers. The division by u = unit over its denominator is one pass
-    y[n] = (x[n] - sum_(t>=1) u[t] y[n-t]) / u[0] on Y[n] = y[n] u[0]^(n+1),
-    and one gcd over the result reduces it.
-    """
-    length = len(terms[0][1][0])
-    lifted = [(*integer_vector(p), v, d) for p, (v, d) in terms]
-    den = lcm(*(e * d for _, e, _, d in lifted))
-    acc = [0] * length
-    for cs, e, v, d in lifted:
-        for t, c in enumerate(cs):
-            if c:
-                c *= den // (e * d)
-                for n in range(t, length):
-                    acc[n] += c * v[n - t]
-    us, ue = integer_vector(unit)
-    powers = [1]
-    for _ in range(length):
-        powers.append(powers[-1] * us[0])
-    out = []
-    for n, x in enumerate(acc):
-        back = zip(us[1 : n + 1], powers, reversed(out))
-        out.append(x * ue * powers[n] - sum(u * w * y for u, w, y in back))
-    v = [y * powers[length - 1 - n] for n, y in enumerate(out)]
-    d = den * powers[length]
-    g = gcd(d, *v) * (1 if d > 0 else -1)
-    return [x // g for x in v], d // g
 
 
 def integer_first_mismatch(v, d, f):

@@ -20,7 +20,6 @@ from .exact_algebra import (
     RationalFunction,
     TruncatedSeries,
     bilinear_combinations,
-    integer_quotient,
     is_integer,
     rat,
 )
@@ -31,7 +30,6 @@ from .skew_operators import (
     SolutionBasis,
     TaggedSeries,
     VerificationReport,
-    annihilated,
     dual_operator,
     matrix_invert,
     psi_matrix,
@@ -241,27 +239,6 @@ def _over_one_minus_z(num, k):
     return RationalFunction(Polynomial(num), _one_minus_z(k))
 
 
-def theta_reduction(op, count):
-    """Rows P_k0..P_k(r-1) of polynomials for k = r, ..., r + count - 1,
-    with theta^k f = sum_(j<r) P_kj / (1-z)^(k-r+1) theta^j f whenever
-    L f = 0, for L = hg_operator(p) of order r (A_r = 1 - z).
-
-    R_kj = P_kj / (1-z)^(k-r+1) starts from R_rj = -A_j / A_r and follows
-    R_(k+1)j = theta(R_kj) + R_k(j-1) - R_k(r-1) A_j / A_r, so that
-    P_(k+1)j = (1-z) (theta(P_kj) + P_k(j-1)) + (k-r+1) z P_kj - P_k(r-1) A_j.
-    """
-    a, r = op.coeffs, op.order
-    rows = [[-x for x in a[:r]]]
-    for m in range(1, count):
-        prev = rows[-1]
-        rows.append([
-            _one_minus_z(1) * (prev[j].theta() + (prev[j - 1] if j else Polynomial()))
-            + Polynomial([0, m]) * prev[j] - prev[r - 1] * a[j]
-            for j in range(r)
-        ])
-    return rows[:count]
-
-
 def anti_diagonal_entry(l):
     """Value of the duality matrix on the k+l = r-1 anti-diagonal."""
     return _over_one_minus_z([(-1) ** l], 1)
@@ -269,16 +246,15 @@ def anti_diagonal_entry(l):
 
 def bilinear_sum_table(p, N):
     """Every sum T_kl = sum_i w_i theta^k(f_i) theta^l(g_i), 0 <= k, l < r,
-    through z^N, as integer vectors (v, d) over one common denominator.
+    through z^N, as integer vectors (v, d) over one common denominator:
+    the sums of a verify whose pairing certificate is refused, and the
+    product identities of paper-regression.
 
     With c_i the exponent of f_i, theta^k(f_i) g_i has the body
     ((c_i + theta)^k phi_i) psi_i, whose coefficient n before the product is
-    (c_i + n)^k phi_in. So the first column T_k0, k = 0..2r-2, reweights one
-    set of big products phi_in psi_ij per i by small integers. When the
-    primal basis is certified to solve L f = 0 through z^N (annihilated),
-    the kernel forms T_00..T_(r-1)0 only, and
-    T_k0 = sum_(j<r) P_kj T_j0 / (1-z)^(k-r+1) (theta_reduction) gives the
-    rest; otherwise it forms all 2r-1. The Leibniz rule
+    (c_i + n)^k phi_in. So the first column T_k0, k = 0..2r-2, is one
+    kernel call of 2r-1 outputs that reweight one set of big products
+    phi_in psi_ij per i by small integers. The Leibniz rule
     theta(T_kl) = T_(k+1)l + T_k(l+1) then gives the other columns as
     T_k(l+1) = theta(T_kl) - T_(k+1)l, exactly through z^N.
     """
@@ -287,23 +263,19 @@ def bilinear_sum_table(p, N):
     primal = solution_basis(p, N, "primal").entries
     dual = solution_basis(p, N, "dual").entries
     pairs = [(f.body, g.body) for f, g in zip(primal, dual)]
-    op = hg_operator(p)
-    count = r if annihilated(op, primal) else 2 * r - 1
     # (c_i + n)^k = scales[i][k][n] / t_i^k with c_i = s_i / t_i
     scales = []
     for f in primal:
         s, t = int(f.offset.numerator), int(f.offset.denominator)
         base = [s + n * t for n in range(N + 1)]
         powers = [[1] * (N + 1)]
-        for _ in range(count - 1):
+        for _ in range(2 * r - 2):
             powers.append([x * y for x, y in zip(powers[-1], base)])
         scales.append([(v, t**k) for k, v in enumerate(powers)])
     outputs = [
-        [(w, scale[k]) for w, scale in zip(weights, scales)] for k in range(count)
+        [(w, scale[k]) for w, scale in zip(weights, scales)] for k in range(2 * r - 1)
     ]
     column = bilinear_combinations(pairs, outputs)
-    for m, row in enumerate(theta_reduction(op, 2 * r - 1 - count), 1):
-        column.append(integer_quotient(list(zip(row, column)), _one_minus_z(m)))
     d = lcm(*(cd for _, cd in column))
     table = [[[x * (d // cd) for x in cv] for cv, cd in column]]
     for _ in range(r - 1):

@@ -20,7 +20,6 @@ from .exact_algebra import (
     Q,
     RationalFunction,
     bilinear_combinations,
-    integer_quotient,
     integer_scale_arg,
     rat,
 )
@@ -38,7 +37,6 @@ from .skew_operators import (
     SolutionBasis,
     TaggedSeries,
     VerificationReport,
-    annihilated,
     matrix_invert,
     psi_q_matrix,
     q_dual_operator,
@@ -237,47 +235,31 @@ def superdiagonal_entry(p, k):
 
 def q_bilinear_sum_table(p, N):
     """Every sum S_kl = sum_i w_i Delta^k(f_i) Delta^l(g_i), 0 <= k, l < r,
-    through z^N, as integer vectors (v, d).
+    through z^N, as integer vectors (v, d): the sums of a verify whose
+    pairing certificate is refused, and the product identity of
+    paper-regression.
 
     With mu_i = q/b_i, the pair product is
     Delta^k f_i Delta^l g_i = mu_i^(k-l) phi_i(q^k z) psi_i(q^l z), so cell
     (k, l) is the shift sum
     E_e(w) = sum_i w_i mu_i^e phi_i(q^e w) psi_i(w),  e = k-l,
-    at w = q^l z. There are 2r-1 of them, and they reweight one set of big
-    products phi_in psi_ij per i by the small powers q^(en).
-
-    Delta^s of L f_i = 0, times w_i g_i and summed over i, gives
-    sum_(j<=r) A_j(q^s z) E_(s+j) = 0 for every s, and A_0 = 1 - z and A_r
-    are units. So when the primal basis is certified to solve L f = 0
-    through z^N (annihilated), the kernel forms only the r sums of the
-    centred window e = -floor((r-1)/2)..ceil((r-1)/2), whose scales q^(en)
-    are the smallest, and the others follow forward,
-    E_(s+r) = -A_r(q^s z)^(-1) sum_(j<r) A_j(q^s z) E_(s+j), and backward,
-    E_s = -A_0(q^s z)^(-1) sum_(j>=1) A_j(q^s z) E_(s+j). Otherwise the
-    kernel forms all 2r-1.
+    at w = q^l z. The 2r-1 shift sums are one kernel call, whose outputs
+    reweight one set of big products phi_in psi_ij per i by the small
+    powers q^(en).
     """
     r, q = p.r, p.q
     weights = q_duality_weights(p)
     primal = q_solution_basis(p, N, "primal").entries
     dual = q_solution_basis(p, N, "dual").entries
     pairs = [(f.body, g.body) for f, g in zip(primal, dual)]
-    op = qhg_operator(p)
-    a = op.coeffs
-    window = range(-((r - 1) // 2), r // 2 + 1)
-    shifts = window if annihilated(op, primal) else range(1 - r, r)
     outputs = []
-    for e in shifts:
+    for e in range(1 - r, r):
         scale = integer_scale_arg([1] * (N + 1), 1, q**e)
         outputs.append([(w * f.offset**e, scale) for w, f in zip(weights, primal)])
-    sums = dict(zip(shifts, bilinear_combinations(pairs, outputs)))
-    for s in range(shifts[-1] + 1 - r, 0):
-        terms = [(-a[j].scale_arg(q**s), sums[s + j]) for j in range(r)]
-        sums[s + r] = integer_quotient(terms, a[r].scale_arg(q**s))
-    for s in range(shifts[0] - 1, -r, -1):
-        terms = [(-a[j].scale_arg(q**s), sums[s + j]) for j in range(1, r + 1)]
-        sums[s] = integer_quotient(terms, a[0].scale_arg(q**s))
+    sums = bilinear_combinations(pairs, outputs)
     return [
-        [integer_scale_arg(*sums[k - l], q**l) for l in range(r)] for k in range(r)
+        [integer_scale_arg(*sums[k - l + r - 1], q**l) for l in range(r)]
+        for k in range(r)
     ]
 
 

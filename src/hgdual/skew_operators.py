@@ -1,7 +1,7 @@
 """Operator algebra for the Euler derivation theta = z*d/dz and the q-shift
 automorphism f(z) -> f(qz): formal duals, the bilinear pairing matrices,
-their determinant, inverse and products, and the cell-by-cell verifier of
-both families.
+their determinant, inverse and the series of the inverse, the check
+M Psi = 1, and the cell-by-cell verifier of both families.
 
 Operators are stored in theta-form (Theta mode, L = sum A_j theta^j) or
 shift-form (QShift mode, L = sum A_j Delta^j) with Polynomial coefficients
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import mul
 
 from .exact_algebra import (
@@ -319,21 +319,17 @@ def matrix_invert(mat):
     return out
 
 
-def matrix_mul(a, b):
-    """The product a b of a RationalFunction matrix a, such as M, and a
-    polynomial matrix b, such as Psi: the polynomial matrix C = den a
-    (_cleared) is multiplied by b, and entry (i, j) is normalised once, as
-    (C b)_ij / den."""
-    ca, den = _cleared(a)
-    cols = list(zip(*b))
-    return [[RationalFunction(sum(map(mul, r, c), _ZERO), den) for c in cols] for r in ca]
-
-
-def matrix_identity(n):
-    one = RationalFunction.one()
-    return [
-        [one if i == j else _RF_ZERO for j in range(n)] for i in range(n)
-    ]
+def inverts(m, psi):
+    """True when m psi = 1, for a RationalFunction matrix m, such as M, and
+    a polynomial matrix psi of its size, such as Psi: compared as C psi =
+    den 1 on polynomials, with C = den m (_cleared), so that no entry is
+    normalised."""
+    c, den = _cleared(m)
+    return all(
+        sum(map(mul, row, col), _ZERO) == (den if i == j else _ZERO)
+        for i, row in enumerate(c)
+        for j, col in enumerate(zip(*psi))
+    )
 
 
 @dataclass(frozen=True)
@@ -529,16 +525,16 @@ def pairing_constants(psi, primal, dual, constants, N):
     return True
 
 
-def pairing_certifies(family, p, N, m):
-    """True when five exact checks prove, with no series product, that the
-    bilinear sums of the family's solution bases equal m through z^N:
+def pairing_certifies(family, p, N, psi):
+    """True when four exact checks prove, with no series product, that the
+    bilinear sums of the family's solution bases equal psi^(-1) through
+    z^N, for the pairing matrix psi = family.psi(op):
     1. op = family.operator(p) annihilates the primal basis (annihilated);
     2. op* = family.dual_operator(op) annihilates the dual basis;
-    3. Psi = family.psi(op) satisfies lagrange_identity, and the leading
-       coefficients of op and op* are units of the power series;
+    3. psi satisfies lagrange_identity, and the leading coefficients of op
+       and op* are units of the power series;
     4. pairing_constants holds with C_i = family.c_constants(p), the
-       constants whose inverses weight the sums;
-    5. m Psi = 1.
+       constants whose inverses weight the sums.
 
     The sums are S = F W G^T, with F and G the matrices of the columns
     (X^l f_i)_(l<r) and (X^k g_i)_(k<r) and W = diag(1/C_i). By checks
@@ -547,13 +543,12 @@ def pairing_certifies(family, p, N, m):
     by check 4, H = diag(C_i), the offsets are distinct (its terms n = 0)
     and phi_i(0) psi_i(0) != 0. At z = 0 the bodies of F and G are then
     Vandermonde matrices in the offsets times diag(phi_i(0)), resp.
-    diag(psi_i(0)), so F and G are invertible through z^N and
-    S = Psi^(-1) = m by check 5. A check that fails refuses the
+    diag(psi_i(0)), so F and G are invertible through z^N, and
+    S Psi F = F W H = F gives S Psi = 1. A check that fails refuses the
     certificate; it proves no cell wrong.
     """
     op = family.operator(p)
     dual_op = family.dual_operator(op)
-    psi = family.psi(op)
     primal = family.solution_basis(p, N, "primal").entries
     dual = family.solution_basis(p, N, "dual").entries
     return (
@@ -562,8 +557,58 @@ def pairing_certifies(family, p, N, m):
         and op.coeffs[-1].coefficient(0) * dual_op.coeffs[-1].coefficient(0) != 0
         and lagrange_identity(op, dual_op, psi)
         and pairing_constants(psi, primal, dual, family.c_constants(p), N)
-        and matrix_mul(m, psi) == matrix_identity(len(m))
     )
+
+
+def _reduced(t, d):
+    """The integer matrix t over d, divided by the gcd of d and its
+    entries."""
+    g = gcd(d, *(x for row in t for x in row))
+    return [[x // g for x in row] for row in t], d // g
+
+
+def inverse_series(psi, N):
+    """The expansion of Psi^(-1) through z^N from Psi = P0 + P1 z alone, as
+    a table of integer vectors (v, d), or None when an entry of Psi has
+    degree above 1 or P0 is singular.
+
+    Its coefficients are S_0 = P0^(-1) and S_n = B S_(n-1) with
+    B = -P0^(-1) P1, both read from one elimination on [P0 | 1 | -P1], not
+    from matrix_invert. With e the lcm of their denominators, S_n is kept
+    as T_n / d_n, where T_n = (e B) T_(n-1) over d_(n-1) e is reduced by
+    the gcd of all its entries (_reduced), so that d_n is the lcm of the
+    denominators of S_n and the heights stay those of S_n.
+    """
+    if any(x.degree > 1 for row in psi for x in row):
+        return None
+    r = len(psi)
+    rows = [
+        [x.coefficient(0) for x in row] + [Q(int(i == j)) for j in range(r)]
+        + [-x.coefficient(1) for x in row]
+        for i, row in enumerate(psi)
+    ]
+    for c in range(r):
+        pivot = next((i for i in range(c, r) if rows[i][c]), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(r):
+            f = rows[i][c]
+            if i != c and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    e = lcm(*(int(x.denominator) for row in rows for x in row[r:]))
+    step = [[int(x * e) for x in row[2 * r :]] for row in rows]
+    terms = [_reduced([[int(x * e) for x in row[r : 2 * r]] for row in rows], e)]
+    for _ in range(N):
+        t, d = terms[-1]
+        product = [[sum(map(mul, s, col)) for col in zip(*t)] for s in step]
+        terms.append(_reduced(product, d * e))
+    den = lcm(*(d for _, d in terms))
+    return [
+        [([t[k][l] * (den // d) for t, d in terms], den) for l in range(r)]
+        for k in range(r)
+    ]
 
 
 def minimum_order(r):
@@ -576,11 +621,18 @@ def verify_duality(family, p, N):
     """Check, cell by cell, that the bilinear sums of the solution bases
     reproduce M = Psi^{-1} exactly through z^N, together with the
     family's closed-form zero pattern and the degree bounds (check_cells).
-
-    When every entry of M meets the zero pattern and the degree bounds and
-    pairing_certifies proves the sums equal to M, every cell passes and no
-    sum is formed. Otherwise the sums are formed and check_cells reports
-    each cell, so that a refused certificate costs time only.
+    It has three outcomes:
+    1. pairing_certifies proves the sums equal to Psi^(-1), inverts proves
+       M Psi = 1, and every entry of M meets the zero pattern and the
+       degree bounds: every cell passes, and no sum is formed.
+    2. pairing_certifies holds, but M or one of its entries does not:
+       check_cells reads the sums from the series of Psi^(-1)
+       (inverse_series), with no series product.
+    3. pairing_certifies refuses, or inverse_series finds no expansion:
+       the kernel forms the sums (family.bilinear_sum_table), and
+       check_cells reads them.
+    The certificate proves the sums of outcomes 2 and 3 equal, so a
+    refused certificate costs time only.
 
     family is the family module, hgdual.hypergeometric or
     hgdual.q_hypergeometric. Its surface is read through module attributes
@@ -594,7 +646,11 @@ def verify_duality(family, p, N):
     m = family.duality_matrix(p)
     structure = partial(family.structure_ok, p)
     cells = [(k, l) for k in range(p.r) for l in range(p.r)]
-    entries_ok = all(_entry_ok(m, k, l, structure) for k, l in cells)
-    if entries_ok and pairing_certifies(family, p, N, m):
-        return VerificationReport(tuple(CellResult(cell, True) for cell in cells))
-    return check_cells(m, family.bilinear_sum_table(p, N), structure)
+    psi, sums = family.psi(family.operator(p)), None
+    if pairing_certifies(family, p, N, psi):
+        if all(_entry_ok(m, k, l, structure) for k, l in cells) and inverts(m, psi):
+            return VerificationReport(tuple(CellResult(cell, True) for cell in cells))
+        sums = inverse_series(psi, N)
+    if sums is None:
+        sums = family.bilinear_sum_table(p, N)
+    return check_cells(m, sums, structure)

@@ -3,9 +3,10 @@ runs any of them, so they live here and not in src/hgdual/: Fraction
 arithmetic on TruncatedSeries, field arithmetic on RationalFunction,
 rational reconstruction, the action of an operator and the pairings and
 Wronskians on tagged series, the r^3 bilinear sum, the general
-determinant and inverse, and the closed forms of the Pochhammer symbols
-and the dual bases. Each is a free function on the package's values."""
+determinant and inverse, the matrix product, and the closed forms of the
+Pochhammer symbols and the dual bases. Each is a free function on the package's values."""
 
+import operator
 from functools import reduce
 from itertools import permutations
 
@@ -23,6 +24,7 @@ from hgdual.skew_operators import (
     THETA,
     SkewOperator,
     TaggedSeries,
+    _cleared,
     _odd,
     psi_matrix,
     psi_q_matrix,
@@ -420,6 +422,25 @@ def entrywise_mul(a, b):
         ]
         for i in range(len(a))
     ]
+
+
+def matrix_mul(a, b):
+    """The product a b of a RationalFunction matrix a, such as M, and a
+    polynomial matrix b, such as Psi: the polynomial matrix C = den a
+    (_cleared) is multiplied by b, and entry (i, j) is normalised once, as
+    (C b)_ij / den. skew_operators.inverts compares C b with den 1
+    instead."""
+    ca, den = _cleared(a)
+    cols, zero_ = list(zip(*b)), Polynomial.zero()
+    return [
+        [RationalFunction(sum(map(operator.mul, row, col), zero_), den) for col in cols]
+        for row in ca
+    ]
+
+
+def matrix_identity(n):
+    one, zero_ = ratfunc(Polynomial.one()), RationalFunction.zero()
+    return [[one if i == j else zero_ for j in range(n)] for i in range(n)]
 
 
 # -- closed forms of the series bodies

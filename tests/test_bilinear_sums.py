@@ -21,6 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 import hgdual.cli
 import hgdual.hypergeometric as hg
 import hgdual.q_hypergeometric as qhg
+import hgdual.skew_operators as skew_operators
 from hgdual.hypergeometric import DegenerateParameters
 from hgdual.hypergeometric import sample_params as sample_theta_params
 from hgdual.q_hypergeometric import sample_params as sample_qshift_params
@@ -29,9 +30,8 @@ from hgdual.skew_operators import (
     TaggedSeries,
     annihilated,
     check_cells,
+    inverts,
     lagrange_identity,
-    matrix_identity,
-    matrix_mul,
     minimum_order,
     pairing_certifies,
     pairing_constants,
@@ -46,7 +46,6 @@ from hgdual.exact_algebra import (
     _graded_lifts,
     bilinear_combinations,
     integer_first_mismatch,
-    integer_quotient,
     integer_scale_arg,
     integer_vector,
     is_integer,
@@ -531,11 +530,10 @@ def test_qshift_shift_toeplitz(q, ab):
     _assert_tables_equal(qhg.q_bilinear_sum_table(p, N), direct, r)
 
 
-# The certified tables: the kernel forms r of the 2r-1 outputs when the
-# primal basis is certified to solve L f = 0, and the operator gives the
-# rest. FAMILIES maps an id to the family module, the name of its basis
-# function and the arguments Params.make and sample_params take before
-# a and b.
+# The tables form their 2r-1 outputs in one kernel call, and equal the
+# direct definition. FAMILIES maps an id to the family module, the name of
+# its basis function and the arguments Params.make and sample_params take
+# before a and b.
 FAMILIES = {
     "theta": (hg, "solution_basis", ()),
     "q=1/2": (qhg, "q_solution_basis", (Q(1, 2),)),
@@ -556,11 +554,6 @@ def _kernel_outputs(mp, module):
     return counts
 
 
-def _all_outputs(mp, module):
-    """Refuse every certificate, so that the kernel forms all 2r-1 outputs."""
-    mp.setattr(module, "annihilated", lambda op, entries: False)
-
-
 @settings(max_examples=8, deadline=None)
 @given(
     st.sampled_from(sorted(FAMILIES)),
@@ -574,10 +567,7 @@ def test_certified_table_equals_all_outputs(family, ab, extra):
     with pytest.MonkeyPatch.context() as mp:
         counts = _kernel_outputs(mp, module)
         table = module.bilinear_sum_table(p, N)
-        assert counts == [r]
-        _all_outputs(mp, module)
-        assert module.bilinear_sum_table(p, N) == table
-        assert counts == [r, 2 * r - 1]
+        assert counts == [2 * r - 1]
     direct = _direct_theta_sums(p, N) if module is hg else _direct_q_sums(p, N)
     _assert_tables_equal(table, direct, r)
 
@@ -586,84 +576,36 @@ def test_certified_table_equals_all_outputs(family, ab, extra):
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_generic_parameters_take_the_certified_path(monkeypatch, family, r):
     """A passing verify on generic parameters forms no sum (the pairing
-    certificate holds), and the table forms r of its 2r-1 outputs."""
+    certificate holds), and the table forms its 2r-1 outputs in one kernel
+    call."""
     module, _, base = FAMILIES[family]
     p = module.sample_params(random.Random(600 + r), r, *base)
     counts = _kernel_outputs(monkeypatch, module)
     assert module.verify(p, minimum_order(r)).passed
     assert counts == []
     module.bilinear_sum_table(p, minimum_order(r))
-    assert counts == [r]
+    assert counts == [2 * r - 1]
 
 
-@pytest.mark.parametrize("r", [2, 3, 4, 5])
-def test_qshift_steps_give_the_shift_sums(r):
-    """The forward and backward steps of sum_j A_j(q^s z) E_(s+j) = 0 on the
-    shift sums of the direct definition."""
-    p = sample_qshift_params(random.Random(700 + r), r, Q(2, 3))
-    N, q = minimum_order(r), p.q
-    sums = {e: integer_vector(s) for e, s in _shift_sums(p, N).items()}
-    a = qhg.qhg_operator(p).coeffs
-    for s in range(1 - r, 0):
-        forward = [(-a[j].scale_arg(q**s), sums[s + j]) for j in range(r)]
-        assert integer_quotient(forward, a[r].scale_arg(q**s)) == sums[s + r], s
-        backward = [(-a[j].scale_arg(q**s), sums[s + j]) for j in range(1, r + 1)]
-        assert integer_quotient(backward, a[0].scale_arg(q**s)) == sums[s], s
-
-
-def test_integer_quotient_by_a_unit():
-    """(p_1 v_1 / d_1 + p_2 v_2 / d_2) / u against series arithmetic, with a
-    unit u whose constant term is not 1."""
-    x = TruncatedSeries([Q(1, 3), Q(-2, 5), Q(0), Q(7, 2), Q(1, 9), Q(4)])
-    y = TruncatedSeries([Q(5), Q(1, 7), Q(-3, 4), Q(0), Q(2, 3), Q(-1, 6)])
-    px, py = Polynomial([Q(1, 2), Q(-3)]), Polynomial([0, Q(2, 5), 1])
-    u = Polynomial([Q(-3, 2), Q(5, 7)])
-    expected = add(mul(series_of_poly(px, 5), x), mul(series_of_poly(py, 5), y))
-    expected = mul(expected, series_of_ratfunc(RationalFunction(Polynomial([1]), u), 5))
-    v, d = integer_quotient([(px, integer_vector(x)), (py, integer_vector(y))], u)
-    _assert_reduced(v, d)
-    assert series_of_integer_vector(v, d) == expected
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.integers(2, 4).flatmap(_upper_and_lower))
-def test_theta_reduction_is_theta_power(ab):
-    """theta^k f = sum_(j<r) P_kj / (1-z)^(k-r+1) theta^j f, k = r..2r, on
-    the primal basis, with theta^k applied by the direct definition."""
-    p = _generic(hg.Params.make, *ab)
-    r, N = p.r, 12
-    rows = hg.theta_reduction(hg.hg_operator(p), r + 1)
-    one_minus_z = Polynomial([1, -1])
-    for powers in _advance_table(hg.solution_basis(p, N, "primal").entries, 2 * r + 1):
-        for m, row in enumerate(rows, 1):
-            den = prod([one_minus_z] * m, start=Polynomial.one())
-            got = zero(N)
-            for poly, power in zip(row, powers):
-                factor = series_of_ratfunc(RationalFunction(poly, den), N)
-                got = add(got, mul(factor, power.body))
-            assert got == powers[r + m - 1].body, (r, m)
-
-
-def _cli_bytes(module, p, N):
-    """stdout of the verify command on p, in text and in JSON."""
+def _cli_codes(module, p, N):
+    """The exit codes of the verify command on p, in text and in JSON."""
     family = ["--hg"] if module is hg else ["--qhg", "--q", str(p.q)]
     argv = ["verify", *family, "--a", ",".join(map(str, p.a)),
             "--b", ",".join(map(str, p.b[:-1])), "--order", str(N)]
-    out = []
+    codes = []
     for fmt in ([], ["--format", "json"]):
-        buffer = io.StringIO()
-        with contextlib.redirect_stdout(buffer):
-            code = hgdual.cli.main(argv + fmt)
-        out.append((code, buffer.getvalue()))
-    return out
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(hgdual.cli.main(argv + fmt))
+    return codes
 
 
 @pytest.mark.parametrize("family", ["theta", "q=2/3"])
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_off_operator_basis_takes_all_outputs(monkeypatch, family, where):
-    """A primal body moved off the operator is refused by the certificate,
-    and the report and the command's bytes are those of the path that forms
-    all 2r-1 outputs."""
+    """A primal body moved off the operator is refused by the certificate:
+    verify and the command form the sums in one kernel call of 2r-1
+    outputs each, and the report is that of the direct sums of the moved
+    basis."""
     module, name, base = FAMILIES[family]
     r, N = 3, 20
     p = module.sample_params(random.Random(13), r, *base)
@@ -673,18 +615,22 @@ def test_off_operator_basis_takes_all_outputs(monkeypatch, family, where):
     assert not annihilated(module.operator(p), primal)
     counts = _kernel_outputs(monkeypatch, module)
     report = module.verify(p, N)
-    stdout = _cli_bytes(module, p, N)
-    assert set(counts) == {2 * r - 1}
+    assert counts == [2 * r - 1]
     assert not report.passed
-    _all_outputs(monkeypatch, module)
-    assert module.verify(p, N) == report
-    assert _cli_bytes(module, p, N) == stdout
+    direct = _direct_theta_sums(p, N) if module is hg else _direct_q_sums(p, N)
+    sums = [[integer_vector(s) for s in row] for row in direct]
+    structure = partial(module.structure_ok, p)
+    assert report == check_cells(module.duality_matrix(p), sums, structure)
+    assert _cli_codes(module, p, N) == [1, 1]
+    assert counts == [2 * r - 1] * 3
 
 
-# The pairing certificate: verify forms no sum when the five checks of
-# pairing_certifies hold, and forms them all when one refuses. Each check
-# refuses on its own the inputs that break what it certifies, and after a
-# refusal the report is that of the path that forms every sum.
+# The pairing certificate: verify forms no sum when the checks of
+# pairing_certifies and inverts hold. When M fails inverts or a cell's
+# structure, the sums are the series of Psi^(-1); when pairing_certifies
+# refuses, the kernel forms them. Each check refuses on its own the inputs
+# that break what it certifies, and the reports of the series and of the
+# kernel are equal.
 
 
 def _kernel_report(module, p, N):
@@ -697,7 +643,8 @@ def _kernel_report(module, p, N):
 
 
 def _five_checks(module, p, N, m):
-    """The verdicts of the checks of pairing_certifies, in its order."""
+    """The verdicts of the four checks of pairing_certifies, in its order,
+    and of inverts (check 5)."""
     op = module.operator(p)
     dual_op = module.dual_operator(op)
     psi = module.psi(op)
@@ -708,13 +655,12 @@ def _five_checks(module, p, N, m):
         annihilated(dual_op, dual),
         lagrange_identity(op, dual_op, psi),
         pairing_constants(psi, primal, dual, module.c_constants(p), N),
-        matrix_mul(m, psi) == matrix_identity(p.r),
+        inverts(m, psi),
     ]
 
 
 def _assert_refused(module, p, N):
-    m = module.duality_matrix(p)
-    assert not pairing_certifies(module, p, N, m)
+    assert not pairing_certifies(module, p, N, module.psi(module.operator(p)))
     assert module.verify(p, N) == _kernel_report(module, p, N)
 
 
@@ -724,8 +670,94 @@ def test_certified_verdicts_equal_the_kernel_tables(family, ab):
     module, _, base = FAMILIES[family]
     p = _generic(module.Params.make, *base, *ab)
     N = minimum_order(p.r)
-    assert pairing_certifies(module, p, N, module.duality_matrix(p))
+    psi = module.psi(module.operator(p))
+    assert pairing_certifies(module, p, N, psi)
+    assert inverts(module.duality_matrix(p), psi)
     assert module.verify(p, N) == _kernel_report(module, p, N)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from(sorted(FAMILIES)),
+    st.integers(2, 5).flatmap(_upper_and_lower),
+    st.sampled_from(["moved", "swapped"]),
+    st.data(),
+)
+def test_series_and_kernel_reports_are_equal(family, ab, change, data):
+    """M with an entry moved by z^2, or with two corner entries swapped,
+    fails inverts while checks 1-4 hold: verify reads the sums from the
+    series of Psi^(-1), with no kernel call, and reports exactly what it
+    reports on the kernel's sums when the certificate is refused."""
+    module, _, base = FAMILIES[family]
+    p = _generic(module.Params.make, *base, *ab)
+    r, N = p.r, minimum_order(p.r)
+    m = module.duality_matrix(p)
+    if change == "moved":
+        k, l = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, r - 1))
+        m[k][l] = rf_add(m[k][l], ratfunc(Polynomial([0, 0, 1])))
+    else:
+        corners = {(0, 0), (0, r - 1), (r - 1, 0), (r - 1, r - 1)}
+        (a, b), (c, d) = data.draw(st.permutations(sorted(corners)))[:2]
+        assume(m[a][b] != m[c][d])
+        m[a][b], m[c][d] = m[c][d], m[a][b]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "matrix_invert", lambda psi: list(map(list, m)))
+        counts = _kernel_outputs(mp, module)
+        series = module.verify(p, N)
+        assert counts == []
+        mp.setattr(skew_operators, "pairing_certifies", lambda *args: False)
+        kernel = module.verify(p, N)
+        assert counts == [2 * r - 1]
+    assert not series.passed
+    assert series == kernel
+
+
+# Parameters the command line accepts but the samplers never draw: integer
+# and zero upper parameters in theta, where the samplers draw positive
+# non-integers, and negative parameters in q, where they draw positive
+# ones. The certificate holds on them, so no verify of theirs forms a
+# kernel table.
+signed = st.builds(Q, st.integers(-30, 30), st.integers(1, 30))
+
+
+def _with_integer(a, b, i, n):
+    """Upper parameter i set to the integer n."""
+    return a[:i] + [Q(n)] + a[i + 1 :], b
+
+
+def _with_negative(a, b, i):
+    """Parameter i, counted over a then b, made negative."""
+    x = a + b
+    x[i] = -abs(x[i]) or Q(-1)
+    return x[: len(a)], x[len(a) :]
+
+
+def _edge_parameters(theta, r):
+    a, b = (st.lists(signed, min_size=n, max_size=n) for n in (r, r - 1))
+    if theta:
+        return st.builds(_with_integer, a, b, st.integers(0, r - 1), st.integers(-5, 5))
+    return st.builds(_with_negative, a, b, st.integers(0, 2 * r - 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(FAMILIES)),
+    st.integers(2, 4),
+    st.data(),
+)
+def test_accepted_edge_parameters_never_reach_the_kernel(family, r, data):
+    module, _, base = FAMILIES[family]
+    ab = data.draw(_edge_parameters(module is hg, r))
+    try:
+        p = module.Params.make(*base, *ab)
+    except DegenerateParameters:
+        assume(False)
+    N = minimum_order(r)
+    assert pairing_certifies(module, p, N, module.psi(module.operator(p)))
+    with pytest.MonkeyPatch.context() as mp:
+        counts = _kernel_outputs(mp, module)
+        module.verify(p, N)
+        assert counts == []
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -751,7 +783,9 @@ def test_moved_body_coefficient_is_refused(family, which, where):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("added", [[0, 0, 1], [1]], ids=["z^2", "1"])
 def test_moved_matrix_entry_is_refused(family, added):
-    """Check 5 alone refuses M with z^2 or 1 added to a corner."""
+    """Check 5 alone refuses M with z^2 or 1 added to a corner; verify then
+    reads the sums from the series of Psi^(-1), with no kernel call, and
+    reports what the kernel's sums report."""
     module, _, base = FAMILIES[family]
     for r in (2, 3, 4):
         p = module.sample_params(random.Random(3), r, *base)
@@ -760,10 +794,12 @@ def test_moved_matrix_entry_is_refused(family, added):
             m = module.duality_matrix(p)
             m[k][l] = rf_add(m[k][l], ratfunc(Polynomial(added)))
             assert _five_checks(module, p, N, m) == [True] * 4 + [False], (r, k, l)
-            assert not pairing_certifies(module, p, N, m)
+            assert pairing_certifies(module, p, N, module.psi(module.operator(p)))
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(module, "duality_matrix", lambda p, m=m: list(map(list, m)))
+                counts = _kernel_outputs(mp, module)
                 report = module.verify(p, N)
+                assert counts == []
                 assert report == _kernel_report(module, p, N)
                 assert not report.passed
 

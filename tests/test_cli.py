@@ -547,9 +547,10 @@ def test_pinned_stdout(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# verify certifies M from the pairing and forms the bilinear sums only when
-# the certificate is refused or a cell fails: both paths print the same
-# bytes, on passing samples and on a failing cell.
+# verify certifies M from the pairing. When M fails a check it reads the
+# bilinear sums from the series of Psi^{-1}, and when the certificate is
+# refused it forms them in the kernel. All three paths print the same bytes,
+# on passing samples and on a failing cell.
 @pytest.mark.parametrize(
     "family, args",
     [(hg, ("--hg",)), (qhg, ("--qhg", "--q", "1/2")), (qhg, ("--qhg", "--q", "2/3"))],
@@ -559,23 +560,45 @@ def test_pinned_stdout(capsys, argv, digest):
 def test_certified_and_kernel_paths_print_the_same_bytes(
     capsys, monkeypatch, family, args, r
 ):
-    def outputs():
-        return [
-            run(capsys, "verify", *args, "-r", str(r), "--seed", "1", "--format", fmt)
-            for fmt in ("text", "json")
-        ]
+    paths = []
+
+    def recorded(path, function):
+        def wrapper(*a):
+            paths.append(path)
+            return function(*a)
+
+        return wrapper
+
+    series_of_inverse = recorded("series", skew_operators.inverse_series)
+    monkeypatch.setattr(skew_operators, "inverse_series", series_of_inverse)
+    kernel_table = recorded("kernel", family.bilinear_sum_table)
+    monkeypatch.setattr(family, "bilinear_sum_table", kernel_table)
+
+    def outputs(path=None, **patches):
+        paths.clear()
+        with monkeypatch.context() as mp:
+            for name, value in patches.items():
+                mp.setattr(skew_operators, name, value)
+            out = [
+                run(capsys, "verify", *args, "-r", str(r), "--seed", "1", "--format", f)
+                for f in ("text", "json")
+            ]
+        assert paths == [path] * 2 if path else paths == []
+        return out
+
+    def series():
+        return outputs("series", inverts=lambda m, psi: False)
 
     def refused():
-        with monkeypatch.context() as mp:
-            mp.setattr(skew_operators, "pairing_certifies", lambda *args: False)
-            return outputs()
+        return outputs("kernel", pairing_certifies=lambda *args: False)
 
     passing = outputs()
     assert [code for code, _, _ in passing] == [EXIT_PASS] * 2
+    assert series() == passing
     assert refused() == passing
     # every cell but (0, 0) passes
     monkeypatch.setattr(family, "structure_ok", lambda p, k, l, e: (k, l) != (0, 0))
-    failing = outputs()
+    failing = outputs("series")
     assert [code for code, _, _ in failing] == [EXIT_MISMATCH] * 2
     assert refused() == failing
 

@@ -1,7 +1,8 @@
 """The package holds only what a command runs: every function and method
 defined in src/hgdual/ is entered by some command of the command line,
 run in-process under sys.setprofile in both families, on passing cells
-(the pairing certificate) and on failing ones (the bilinear-sum kernel).
+(the pairing certificate), on failing ones (the series of Psi^{-1}) and
+on failing ones with the certificate refused (the bilinear-sum kernel).
 What only the tests call lives in tests/oracles.py."""
 
 import inspect
@@ -41,8 +42,9 @@ COMMANDS = (
     "paper-regression",
     "paper-regression --format json",
 )
-# Each also once with a failing cell, which verify certifies on the
-# bilinear-sum kernel.
+# Each also once with a failing cell, which verify reads from the series of
+# Psi^{-1}, and once more with checks 1 and 2 of the certificate refused
+# too, which sends verify to the bilinear-sum kernel.
 FAILING = ("verify --hg -r 2 --seed 1", "verify --qhg --q 1/2 -r 2 --format json")
 
 
@@ -90,6 +92,8 @@ def test_every_package_function_is_entered(capsys, monkeypatch):
             with monkeypatch.context() as mp:
                 # every cell but (0, 0) passes
                 mp.setattr(family, "structure_ok", lambda p, k, l, e: (k, l) != (0, 0))
+                _run(FAILING[family is qhg])
+                mp.setattr(skew_operators, "annihilated", lambda op, entries: False)
                 _run(FAILING[family is qhg])
     finally:
         sys.setprofile(None)

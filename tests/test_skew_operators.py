@@ -2,7 +2,7 @@
 
 import random
 from itertools import permutations
-from math import comb
+from math import comb, lcm
 
 import pytest
 import sympy
@@ -12,7 +12,13 @@ from sympy.polys.matrices import DomainMatrix
 import hgdual.hypergeometric as hg
 import hgdual.q_hypergeometric as qhg
 from hgdual.cli import MAX_R
-from hgdual.exact_algebra import Polynomial, Q, RationalFunction, TruncatedSeries
+from hgdual.exact_algebra import (
+    Polynomial,
+    Q,
+    RationalFunction,
+    TruncatedSeries,
+    series_of_integer_vector,
+)
 from hgdual.skew_operators import (
     QSHIFT,
     THETA,
@@ -21,11 +27,11 @@ from hgdual.skew_operators import (
     TaggedSeries,
     _triangular_order,
     dual_operator,
+    inverse_series,
+    inverts,
     lagrange_identity,
     matrix_det,
-    matrix_identity,
     matrix_invert,
-    matrix_mul,
     psi_matrix,
     psi_q_matrix,
     q_dual_operator,
@@ -36,6 +42,8 @@ from oracles import (
     bareiss_det,
     entrywise_mul,
     gauss_jordan_invert,
+    matrix_identity,
+    matrix_mul,
     omega_pairing,
     omega_q_pairing,
     ratfunc,
@@ -45,6 +53,7 @@ from oracles import (
     rf_sub,
     rf_theta,
     scale,
+    series_of_ratfunc,
     wronskian_det,
     zero,
 )
@@ -427,7 +436,7 @@ class TestMatrixInvert:
 
     def test_multiply_back_2x2(self):
         m = [[P(1, 1), P(0, 1)], [P(1), P(1, -1)]]
-        assert matrix_mul(gauss_jordan_invert(m), m) == matrix_identity(2)
+        assert inverts(gauss_jordan_invert(m), m)
 
     def test_no_triangular_order_rejected(self):
         # det = 1 - z - z^2, but every row has two nonzero entries
@@ -476,6 +485,7 @@ def test_shuffled_triangular_inverse_matches_gauss_jordan(data, n):
     assert inv == gauss_jordan_invert(m)
     assert entrywise_mul(lifted(m), inv) == matrix_identity(n)
     assert matrix_mul(inv, m) == matrix_identity(n)
+    assert inverts(inv, m)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -526,6 +536,85 @@ def test_matrix_mul_matches_entrywise_product(data, n, p, m):
     a = [[data.draw(entry) for _ in range(p)] for _ in range(n)]
     b = [[data.draw(_POLY) for _ in range(m)] for _ in range(p)]
     assert matrix_mul(a, b) == entrywise_mul(a, lifted(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 5),
+    moved=st.sampled_from(["none", "entry", "swapped"]),
+)
+def test_inverts_is_the_product_check(data, n, moved):
+    """inverts(m, psi) holds exactly when the normalised product m psi is
+    the identity: on a shuffled triangular psi with its inverse, with an
+    entry of the inverse moved by z^2, and with two of its entries
+    swapped."""
+    psi = _shuffled_triangular(data, n)
+    m = matrix_invert(psi)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    if moved == "entry":
+        m[i][j] = rf_add(m[i][j], ratfunc(P(0, 0, 1)))
+    elif moved == "swapped":
+        m[i][j], m[j][i] = m[j][i], m[i][j]
+    assert inverts(m, psi) == (matrix_mul(m, psi) == matrix_identity(n))
+    assert inverts(m, psi) == (moved == "none" or m == matrix_invert(psi))
+
+
+def _assert_expands(series, inverse, N):
+    """Each cell of the integer-vector table series is the expansion of
+    the entry of inverse through z^N."""
+    for row, inv_row in zip(series, inverse, strict=True):
+        for cell, entry in zip(row, inv_row, strict=True):
+            assert series_of_integer_vector(*cell) == series_of_ratfunc(entry, N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    entries=st.lists(
+        st.lists(st.integers(-4, 4), min_size=1, max_size=2), min_size=16, max_size=16
+    ),
+    n=st.integers(1, 4),
+)
+def test_inverse_series_matches_gauss_jordan(entries, n):
+    """Any matrix of polynomials of degree <= 1: with P0 = Psi(0) singular
+    there is no expansion, and otherwise the series is that of the general
+    inverse, whatever the order of the rows."""
+    psi = [[Polynomial(entries[n * i + j]) for j in range(n)] for i in range(n)]
+    N = 9
+    series = inverse_series(psi, N)
+    if bareiss_det([[P(e.coefficient(0)) for e in row] for row in psi]).is_zero:
+        assert series is None
+    else:
+        _assert_expands(series, gauss_jordan_invert(psi), N)
+
+
+@pytest.mark.parametrize(
+    "family, base",
+    [(hg, ()), (qhg, (Q(1, 2),)), (qhg, (Q(2, 3),))],
+    ids=["theta", "q=1/2", "q=2/3"],
+)
+def test_inverse_series_expands_the_inverse_of_psi(family, base):
+    for r in range(2, 6):
+        p = family.sample_params(random.Random(r), r, *base)
+        psi, N = family.psi(family.operator(p)), 4 * r + 8
+        series = inverse_series(psi, N)
+        _assert_expands(series, matrix_invert(psi), N)
+        # the common denominator is that of the coefficients, with no
+        # factor the reduction left behind
+        cells = [cell for row in series for cell in row]
+        coeffs = [c for cell in cells for c in series_of_integer_vector(*cell).coeffs]
+        assert {d for _, d in cells} == {lcm(*(c.denominator for c in coeffs))}
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [[[P(1, 0, 1), P(0)], [P(0), P(1)]], [[P(0, 1), P(1)], [P(0, 2), P(1, 1)]]],
+    ids=["degree-2", "singular-P0"],
+)
+def test_inverse_series_refuses(psi):
+    """An entry of degree 2, and a P0 = Psi(0) of rank 1 (although
+    det Psi = z^2 - z is not zero), give no expansion."""
+    assert inverse_series(psi, 6) is None
 
 
 def _predicted_pivots(family, op):
@@ -618,6 +707,7 @@ def test_matrix_inverse_multiplies_back(entries):
         return
     assert entrywise_mul(lifted(m), inv) == matrix_identity(3)
     assert matrix_mul(inv, m) == matrix_identity(3)
+    assert inverts(inv, m)
     # the triangular inverse agrees where it applies and refuses the rest
     try:
         _triangular_order(m)
