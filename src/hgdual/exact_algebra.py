@@ -22,7 +22,6 @@ __all__ = [
     "is_integer",
     "Polynomial",
     "poly_gcd",
-    "poly_lcm",
     "RationalFunction",
     "TruncatedSeries",
     "integer_vector",
@@ -200,17 +199,6 @@ def poly_gcd(p, q):
     while not b.is_zero:
         a, b = b, a.divmod(b)[1]
     return a.monic()
-
-
-def poly_lcm(p, q):
-    """Monic lcm; one division and no Euclid when one divides the other."""
-    if p.is_zero or q.is_zero:
-        return Polynomial(())
-    if p.degree < q.degree:
-        p, q = q, p
-    if p.divmod(q)[1].is_zero:
-        return p.monic()
-    return (p * q).divexact(poly_gcd(p, q)).monic()
 
 
 class RationalFunction:

@@ -1,7 +1,8 @@
 """Operator algebra for the Euler derivation theta = z*d/dz and the q-shift
 automorphism f(z) -> f(qz): formal duals, the bilinear pairing matrices,
-their determinant, inverse and the series of the inverse, the check
-M Psi = 1, and the cell-by-cell verifier of both families.
+their determinant, inverse and the series of the inverse, and the
+cell-by-cell verifier of both families, which also reads M = Psi^{-1}
+from the head of that series.
 
 Operators are stored in theta-form (Theta mode, L = sum A_j theta^j) or
 shift-form (QShift mode, L = sum A_j Delta^j) with Polynomial coefficients
@@ -23,7 +24,6 @@ from .exact_algebra import (
     RationalFunction,
     integer_first_mismatch,
     is_integer,
-    poly_lcm,
     rat,
     series_of_integer_vector,
 )
@@ -232,20 +232,6 @@ def _odd(perm):
     return sum(perm[x] > perm[y] for x in range(n) for y in range(x + 1, n)) % 2 == 1
 
 
-def _cleared(mat):
-    """(C, den): the polynomial matrix C = den * mat of a RationalFunction
-    matrix, den the monic lcm of the entry denominators."""
-    den = Polynomial.one()
-    for row in mat:
-        for e in row:
-            den = poly_lcm(den, e.den)
-    # no division where the denominator is den already
-    return [
-        [e.num if e.den == den else e.num * den.divexact(e.den) for e in row]
-        for row in mat
-    ], den
-
-
 def matrix_det(mat):
     """Exact determinant of a square polynomial matrix that is upper
     triangular up to row and column order (_triangular_order), as Psi of
@@ -319,19 +305,6 @@ def matrix_invert(mat):
     return out
 
 
-def inverts(m, psi):
-    """True when m psi = 1, for a RationalFunction matrix m, such as M, and
-    a polynomial matrix psi of its size, such as Psi: compared as C psi =
-    den 1 on polynomials, with C = den m (_cleared), so that no entry is
-    normalised."""
-    c, den = _cleared(m)
-    return all(
-        sum(map(mul, row, col), _ZERO) == (den if i == j else _ZERO)
-        for i, row in enumerate(c)
-        for j, col in enumerate(zip(*psi))
-    )
-
-
 @dataclass(frozen=True)
 class CellResult:
     """Outcome of one verified identity cell (k, l)."""
@@ -362,21 +335,17 @@ class VerificationReport:
         return tuple(c for c in self.cells if not c.passed)
 
 
-def _entry_ok(m, k, l, structure_ok):
-    """structure_ok(k, l, m[k][l]), and deg P <= r and deg Q <= r for the
-    entry m[k][l] = P/Q of the r x r matrix m."""
-    entry, r = m[k][l], len(m)
-    return structure_ok(k, l, entry) and entry.num.degree <= r and entry.den.degree <= r
-
-
 def check_cells(m, sums, structure_ok):
     """Certify each cell (k, l) of the r x r duality matrix m against its
-    bilinear sum sums[k][l], an integer vector (v, d) through z^N, N > 2r.
+    bilinear sum sums[k][l], an integer vector (v, d) through z^N, N > 2r:
+    the sums through the truncation order, or the first 2r+2 terms of the
+    series of Psi^(-1) (N = 2r+1), against which verify_duality and
+    matrix --check decide M = Psi^(-1).
 
     A cell passes when v/d equals the expansion of m[k][l] through z^N and
-    the entry meets structure_ok (the family's zero pattern and closed
-    forms) and the degree bound deg P, deg Q <= r on m[k][l] = P/Q
-    (_entry_ok). A failing cell carries m[k][l], the first 2r+2
+    the entry meets structure_ok(k, l, m[k][l]) (the family's zero pattern
+    and closed forms) and the degree bound deg P, deg Q <= r on
+    m[k][l] = P/Q. A failing cell carries m[k][l], the first 2r+2
     coefficients of the sum and, when the series differ, the index of the
     first coefficient that does.
 
@@ -398,7 +367,12 @@ def check_cells(m, sums, structure_ok):
             v, d = sums[k][l]
             entry = m[k][l]
             first_diff = integer_first_mismatch(v, d, entry)
-            ok = first_diff is None and _entry_ok(m, k, l, structure_ok)
+            ok = (
+                first_diff is None
+                and structure_ok(k, l, entry)
+                and entry.num.degree <= r
+                and entry.den.degree <= r
+            )
             cells.append(
                 CellResult(
                     (k, l),
@@ -622,17 +596,25 @@ def verify_duality(family, p, N):
     reproduce M = Psi^{-1} exactly through z^N, together with the
     family's closed-form zero pattern and the degree bounds (check_cells).
     It has three outcomes:
-    1. pairing_certifies proves the sums equal to Psi^(-1), inverts proves
-       M Psi = 1, and every entry of M meets the zero pattern and the
-       degree bounds: every cell passes, and no sum is formed.
-    2. pairing_certifies holds, but M or one of its entries does not:
-       check_cells reads the sums from the series of Psi^(-1)
-       (inverse_series), with no series product.
+    1. pairing_certifies proves the sums equal to Psi^(-1), and check_cells
+       passes M against the first 2r+2 terms of the series of Psi^(-1)
+       (inverse_series): every cell passes, and no sum is formed.
+    2. pairing_certifies holds, but a cell fails against that head:
+       check_cells reads the sums from the series of Psi^(-1) through z^N,
+       with no series product.
     3. pairing_certifies refuses, or inverse_series finds no expansion:
        the kernel forms the sums (family.bilinear_sum_table), and
        check_cells reads them.
     The certificate proves the sums of outcomes 2 and 3 equal, so a
     refused certificate costs time only.
+
+    The head decides M = Psi^(-1) exactly. Psi has entries of degree <= 1,
+    so the reduced entries P'/Q' of Psi^(-1) have degrees <= r, or
+    inverse_series returns None; check_cells asks the same bound of each
+    entry P/Q of M. If the expansions agree through z^(2r), then
+    PQ' - P'Q has degree <= 2r and vanishes mod z^(2r+1), so it is 0. A
+    passing head report therefore proves M = Psi^(-1), and so equals the
+    report of outcome 2.
 
     family is the family module, hgdual.hypergeometric or
     hgdual.q_hypergeometric. Its surface is read through module attributes
@@ -645,12 +627,14 @@ def verify_duality(family, p, N):
         raise InsufficientPrecision(N, minimum)
     m = family.duality_matrix(p)
     structure = partial(family.structure_ok, p)
-    cells = [(k, l) for k in range(p.r) for l in range(p.r)]
     psi, sums = family.psi(family.operator(p)), None
     if pairing_certifies(family, p, N, psi):
-        if all(_entry_ok(m, k, l, structure) for k, l in cells) and inverts(m, psi):
-            return VerificationReport(tuple(CellResult(cell, True) for cell in cells))
-        sums = inverse_series(psi, N)
+        head = inverse_series(psi, 2 * p.r + 1)
+        if head is not None:
+            report = check_cells(m, head, structure)
+            if report.passed:
+                return report
+            sums = inverse_series(psi, N)
     if sums is None:
         sums = family.bilinear_sum_table(p, N)
     return check_cells(m, sums, structure)

@@ -16,6 +16,7 @@ from hgdual.exact_algebra import (
     Q,
     RationalFunction,
     TruncatedSeries,
+    poly_gcd,
     rat,
 )
 from hgdual.hypergeometric import hypergeometric_body, term_ratio_series
@@ -24,7 +25,6 @@ from hgdual.skew_operators import (
     THETA,
     SkewOperator,
     TaggedSeries,
-    _cleared,
     _odd,
     psi_matrix,
     psi_q_matrix,
@@ -426,11 +426,13 @@ def entrywise_mul(a, b):
 
 def matrix_mul(a, b):
     """The product a b of a RationalFunction matrix a, such as M, and a
-    polynomial matrix b, such as Psi: the polynomial matrix C = den a
-    (_cleared) is multiplied by b, and entry (i, j) is normalised once, as
-    (C b)_ij / den. skew_operators.inverts compares C b with den 1
-    instead."""
-    ca, den = _cleared(a)
+    polynomial matrix b, such as Psi: a is cleared to the polynomial matrix
+    C = den a, den the monic lcm of its entry denominators, C is multiplied
+    by b, and entry (i, j) is normalised once, as (C b)_ij / den."""
+    den = Polynomial.one()
+    for e in (e for row in a for e in row):
+        den = (den * e.den).divexact(poly_gcd(den, e.den))
+    ca = [[e.num * den.divexact(e.den) for e in row] for row in a]
     cols, zero_ = list(zip(*b)), Polynomial.zero()
     return [
         [RationalFunction(sum(map(operator.mul, row, col), zero_), den) for col in cols]

@@ -30,7 +30,7 @@ from hgdual.skew_operators import (
     TaggedSeries,
     annihilated,
     check_cells,
-    inverts,
+    inverse_series,
     lagrange_identity,
     minimum_order,
     pairing_certifies,
@@ -626,8 +626,9 @@ def test_off_operator_basis_takes_all_outputs(monkeypatch, family, where):
 
 
 # The pairing certificate: verify forms no sum when the checks of
-# pairing_certifies and inverts hold. When M fails inverts or a cell's
-# structure, the sums are the series of Psi^(-1); when pairing_certifies
+# pairing_certifies hold and M passes against the first 2r+2 terms of the
+# series of Psi^(-1) (the head). When M fails the head, or a cell its
+# structure, the sums are that series through z^N; when pairing_certifies
 # refuses, the kernel forms them. Each check refuses on its own the inputs
 # that break what it certifies, and the reports of the series and of the
 # kernel are equal.
@@ -642,9 +643,17 @@ def _kernel_report(module, p, N):
     )
 
 
+def _inverts(m, psi):
+    """Whether m = psi^(-1), decided as verify_duality and matrix --check
+    decide it: check_cells against the head of the series of psi^(-1),
+    with every entry accepted."""
+    head = inverse_series(psi, 2 * len(psi) + 1)
+    return head is not None and check_cells(m, head, lambda k, l, e: True).passed
+
+
 def _five_checks(module, p, N, m):
     """The verdicts of the four checks of pairing_certifies, in its order,
-    and of inverts (check 5)."""
+    and of the head comparison of m with psi^(-1) (_inverts)."""
     op = module.operator(p)
     dual_op = module.dual_operator(op)
     psi = module.psi(op)
@@ -655,7 +664,7 @@ def _five_checks(module, p, N, m):
         annihilated(dual_op, dual),
         lagrange_identity(op, dual_op, psi),
         pairing_constants(psi, primal, dual, module.c_constants(p), N),
-        inverts(m, psi),
+        _inverts(m, psi),
     ]
 
 
@@ -672,7 +681,7 @@ def test_certified_verdicts_equal_the_kernel_tables(family, ab):
     N = minimum_order(p.r)
     psi = module.psi(module.operator(p))
     assert pairing_certifies(module, p, N, psi)
-    assert inverts(module.duality_matrix(p), psi)
+    assert _inverts(module.duality_matrix(p), psi)
     assert module.verify(p, N) == _kernel_report(module, p, N)
 
 
@@ -680,21 +689,25 @@ def test_certified_verdicts_equal_the_kernel_tables(family, ab):
 @given(
     st.sampled_from(sorted(FAMILIES)),
     st.integers(2, 5).flatmap(_upper_and_lower),
-    st.sampled_from(["moved", "swapped"]),
+    st.sampled_from(["moved", "far", "swapped"]),
     st.data(),
 )
 def test_series_and_kernel_reports_are_equal(family, ab, change, data):
-    """M with an entry moved by z^2, or with two corner entries swapped,
-    fails inverts while checks 1-4 hold: verify reads the sums from the
-    series of Psi^(-1), with no kernel call, and reports exactly what it
-    reports on the kernel's sums when the certificate is refused."""
+    """M with an entry moved by z^2, or by z^(2r+2), or with two corner
+    entries swapped, fails the head comparison while checks 1-4 hold:
+    verify reads the sums from the series of Psi^(-1) through z^N, with no
+    kernel call, and reports exactly what it reports on the kernel's sums
+    when the certificate is refused. The entry moved by z^(2r+2) agrees
+    with Psi^(-1) through z^(2r+1) and fails only the degree bound there;
+    the series through z^N finds its first difference at z^(2r+2)."""
     module, _, base = FAMILIES[family]
     p = _generic(module.Params.make, *base, *ab)
     r, N = p.r, minimum_order(p.r)
     m = module.duality_matrix(p)
-    if change == "moved":
+    if change in ("moved", "far"):
         k, l = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, r - 1))
-        m[k][l] = rf_add(m[k][l], ratfunc(Polynomial([0, 0, 1])))
+        power = 2 if change == "moved" else 2 * r + 2
+        m[k][l] = rf_add(m[k][l], ratfunc(Polynomial([0] * power + [1])))
     else:
         corners = {(0, 0), (0, r - 1), (r - 1, 0), (r - 1, r - 1)}
         (a, b), (c, d) = data.draw(st.permutations(sorted(corners)))[:2]
@@ -710,6 +723,8 @@ def test_series_and_kernel_reports_are_equal(family, ab, change, data):
         assert counts == [2 * r - 1]
     assert not series.passed
     assert series == kernel
+    if change == "far":
+        assert [c.first_diff for c in series.failures] == [2 * r + 2]
 
 
 # Parameters the command line accepts but the samplers never draw: integer
@@ -783,7 +798,7 @@ def test_moved_body_coefficient_is_refused(family, which, where):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("added", [[0, 0, 1], [1]], ids=["z^2", "1"])
 def test_moved_matrix_entry_is_refused(family, added):
-    """Check 5 alone refuses M with z^2 or 1 added to a corner; verify then
+    """The head alone refuses M with z^2 or 1 added to a corner; verify then
     reads the sums from the series of Psi^(-1), with no kernel call, and
     reports what the kernel's sums report."""
     module, _, base = FAMILIES[family]
@@ -809,9 +824,9 @@ def test_moved_matrix_entry_is_refused(family, added):
 def test_moved_psi_entry_is_refused(family, added):
     """Check 3 refuses Psi with z or 1 added at (0,0), (r-1,0) or (0,r-1),
     and check 4 refuses it too where the constant term moved. Against the
-    right M, check 5 refuses it as well, and the sums formed after the
+    right M, the head refuses it as well, and the sums formed after the
     refusal pass every cell. Against M = Psi^(-1) of Psi with z added,
-    which checks 4 and 5 accept, check 3 refuses alone, and the sums
+    which check 4 and the head accept, check 3 refuses alone, and the sums
     fail."""
     module, _, base = FAMILIES[family]
     psi = module.psi

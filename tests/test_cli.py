@@ -535,6 +535,14 @@ PINNED_STDOUT = [
     ('dual --qhg --q 1/2 -r 7 --seed 2 --format json', 'bc4d85853a7d69791c2d4b6122a87f3fe6d50d82ce8381fd4cc0cb1d4ee331c3'),
     ('psi --qhg --q 1/2 -r 7 --seed 2 --check --format json', '6cadf222dc6e912df1c379bc84b0a6351419ed7da64eac5f455598495401de3f'),
     ('matrix --qhg --q 1/2 -r 7 --seed 2 --check --format json', '0fd5006a0367af3b3f53cceeeb486d95443e05fbc972c74255d0c4288d20cc20'),
+    # recorded while verify still checked M Psi = 1 on cleared polynomials:
+    # the smallest order and r = 5, in all three families
+    ('verify --hg -r 2 --seed 1 --format json', 'd88e1781b8d13c92ed809271915e6a3e9773d31327ef9ffd4afc303145ed9d6d'),
+    ('verify --hg -r 5 --seed 1 --format json', '20e0afef554e57b22a67f23d37f571540692665889642c7e289bd77e753d9706'),
+    ('verify --qhg --q 1/2 -r 2 --seed 1 --format json', 'c3ee4e1422754823b3920d6041a51c763723fddbde70b4afabfc1258a77c9306'),
+    ('verify --qhg --q 1/2 -r 5 --seed 1 --format json', 'ef7248ccc763f7748768fd893610d4044f16ea495290205f420f5a4aa23d6fa1'),
+    ('verify --qhg --q 2/3 -r 2 --seed 1 --format json', 'e531c0fc3054cfcacd796d25fc8aba9b5c19748358860bee67223ad8df11157c'),
+    ('verify --qhg --q 2/3 -r 5 --seed 1 --format json', '101001165f170477aaeb86599a504054dd494b9109c8737b567a1aec3e6a31be'),
 ]
 
 
@@ -547,10 +555,11 @@ def test_pinned_stdout(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# verify certifies M from the pairing. When M fails a check it reads the
-# bilinear sums from the series of Psi^{-1}, and when the certificate is
-# refused it forms them in the kernel. All three paths print the same bytes,
-# on passing samples and on a failing cell.
+# verify certifies the sums from the pairing and compares M with the first
+# 2r+2 terms of the series of Psi^{-1} (the head). When a cell fails there
+# it reads the sums from that series through z^N, and when the certificate
+# is refused it forms them in the kernel. All three paths print the same
+# bytes, on passing samples and on a failing cell.
 @pytest.mark.parametrize(
     "family, args",
     [(hg, ("--hg",)), (qhg, ("--qhg", "--q", "1/2")), (qhg, ("--qhg", "--q", "2/3"))],
@@ -561,20 +570,29 @@ def test_certified_and_kernel_paths_print_the_same_bytes(
     capsys, monkeypatch, family, args, r
 ):
     paths = []
+    inverse_series = skew_operators.inverse_series
 
-    def recorded(path, function):
-        def wrapper(*a):
-            paths.append(path)
-            return function(*a)
+    def series_of_inverse(psi, n):
+        paths.append("head" if n == 2 * r + 1 else "series")
+        return inverse_series(psi, n)
 
-        return wrapper
+    def refused_head(psi, n):
+        # a head that matches no M sends a passing sample on to the series
+        table = series_of_inverse(psi, n)
+        if n == 2 * r + 1:
+            v, d = table[0][0]
+            table[0][0] = ([v[0] + d, *v[1:]], d)
+        return table
 
-    series_of_inverse = recorded("series", skew_operators.inverse_series)
+    def kernel_table(*a):
+        paths.append("kernel")
+        return bilinear_sum_table(*a)
+
+    bilinear_sum_table = family.bilinear_sum_table
     monkeypatch.setattr(skew_operators, "inverse_series", series_of_inverse)
-    kernel_table = recorded("kernel", family.bilinear_sum_table)
     monkeypatch.setattr(family, "bilinear_sum_table", kernel_table)
 
-    def outputs(path=None, **patches):
+    def outputs(path, **patches):
         paths.clear()
         with monkeypatch.context() as mp:
             for name, value in patches.items():
@@ -583,22 +601,19 @@ def test_certified_and_kernel_paths_print_the_same_bytes(
                 run(capsys, "verify", *args, "-r", str(r), "--seed", "1", "--format", f)
                 for f in ("text", "json")
             ]
-        assert paths == [path] * 2 if path else paths == []
+        assert paths == path * 2
         return out
 
-    def series():
-        return outputs("series", inverts=lambda m, psi: False)
-
     def refused():
-        return outputs("kernel", pairing_certifies=lambda *args: False)
+        return outputs(["kernel"], pairing_certifies=lambda *args: False)
 
-    passing = outputs()
+    passing = outputs(["head"])
     assert [code for code, _, _ in passing] == [EXIT_PASS] * 2
-    assert series() == passing
+    assert outputs(["head", "series"], inverse_series=refused_head) == passing
     assert refused() == passing
     # every cell but (0, 0) passes
     monkeypatch.setattr(family, "structure_ok", lambda p, k, l, e: (k, l) != (0, 0))
-    failing = outputs("series")
+    failing = outputs(["head", "series"])
     assert [code for code, _, _ in failing] == [EXIT_MISMATCH] * 2
     assert refused() == failing
 

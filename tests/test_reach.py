@@ -36,6 +36,9 @@ COMMANDS = (
     "psi --qhg --q 1/2 -r 3 --seed 1 --check --format json",
     "matrix --hg -r 3 --seed 1 --check --format json",
     "matrix --qhg --q 1/2 -r 3 --seed 1 --check",
+    # a_1 + a_2 = b_1 + b_2 - 1: M[1][1] cancels to (1/6)/(z - 1), the one
+    # entry that takes the cancelling branch of RationalFunction
+    "matrix --hg --a 1/2,1/3 --b 5/6 --check",
     "verify --hg -r 2 --seed 1",
     "verify --qhg --q 1/2 -r 2 --seed 1 --format json",
     "verify --hg -r 2 --order 9",
