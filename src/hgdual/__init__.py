@@ -4,7 +4,6 @@ from .exact_algebra import (
     Q,
     rat,
     Polynomial,
-    poly_gcd,
     RationalFunction,
     TruncatedSeries,
     PoleAtOrigin,

@@ -35,14 +35,14 @@ EXIT_PRECISION = 4
 
 # The largest r, sample count and truncation order the commands accept,
 # so that every run ends in bounded time. One sample at r = 12 (seed 1,
-# default order; Python 3.11, Fraction backend, one CPU) takes about 1 s
-# for verify --hg and for verify --qhg --q 2/3 when the pairing
-# certificate holds, whether every cell passes or one fails, which reads
-# the sums from the series of Psi^{-1}. With the certificate refused, the
-# kernel forms the bilinear sums in one call of 2r-1 outputs, and a
-# failing cell takes 3 s resp. 30 s. MAX_ORDER is the default truncation
-# at r = MAX_R; verify --qhg --q 2/3 -r 2 took 110 s at order 250 forming
-# the sums.
+# default order; Python 3.11, Fraction backend, one CPU) takes about 0.2 s
+# for verify --hg and 0.4 s for verify --qhg --q 2/3 when the pairing
+# certificate holds and every cell passes, and 0.3 s resp. 0.6 s when one
+# cell fails, which reads the sums from the series of Psi^{-1}. With the
+# certificate refused, the kernel forms the bilinear sums in one call of
+# 2r-1 outputs, and a failing cell takes 3 s resp. 30 s. MAX_ORDER is the
+# default truncation at r = MAX_R; verify --qhg --q 2/3 -r 2 took 110 s at
+# order 250 forming the sums.
 MAX_R = 12
 MAX_SAMPLES = 100
 MAX_ORDER = minimum_order(MAX_R)

@@ -1,6 +1,7 @@
-"""Exact arithmetic kernel: rationals, univariate polynomials in z, reduced
-rational functions as values, truncated power series, and the bilinear-sum
-kernel that forms their products over integers.
+"""Exact arithmetic kernel: rationals, univariate polynomials in z,
+rational functions as reduced values whose denominators come as factors of
+degree at most 1, truncated power series, and the bilinear-sum kernel that
+forms their products over integers.
 
 Everything is exact; there is no floating point anywhere in this package.
 Values are immutable after construction, so all operations are pure.
@@ -21,7 +22,6 @@ __all__ = [
     "rat",
     "is_integer",
     "Polynomial",
-    "poly_gcd",
     "RationalFunction",
     "TruncatedSeries",
     "integer_vector",
@@ -145,36 +145,6 @@ class Polynomial:
             power *= c
         return Polynomial(out)
 
-    def monic(self):
-        if self.is_zero:
-            raise ValueError("cannot normalize the zero polynomial")
-        lead = self.leading_coefficient
-        return self if lead == 1 else self.scale(1 / lead)
-
-    def divmod(self, other):
-        """Euclidean division: self = q*other + rem with deg rem < deg other."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return Polynomial(()), self
-        quot = [_QZERO] * (dq + 1)
-        lead = other.leading_coefficient
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quot[k] = c
-            if c != 0:
-                for j, oc in enumerate(other.coeffs):
-                    rem[k + j] -= c * oc
-        return Polynomial(quot), Polynomial(rem)
-
-    def divexact(self, other):
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ValueError("inexact polynomial division")
-        return q
-
     def __repr__(self):
         if self.is_zero:
             return "0"
@@ -191,34 +161,50 @@ class Polynomial:
         return " + ".join(parts)
 
 
-def poly_gcd(p, q):
-    """Monic greatest common divisor via the Euclidean algorithm."""
-    if p.is_zero and q.is_zero:
-        raise ValueError("gcd of two zero polynomials is undefined")
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a.divmod(b)[1]
-    return a.monic()
-
-
 class RationalFunction:
     """Reduced ratio num / den of two polynomials, den nonzero and made
-    monic. The package forms polynomials and normalises each fraction it
-    outputs once, here: the entries of M = Psi^{-1} and of the closed
-    forms they are compared with."""
+    monic, built from num and the factors of den, each of degree 0 or 1:
+    the pivots of Psi for the entries of M = Psi^{-1}, and (1 - z),
+    (1 - q^k z) or another linear factor for the closed forms they are
+    compared with. The package normalises each fraction it outputs once,
+    here, and has no arithmetic on it.
+
+    The factors are taken in turn. A zero factor raises ZeroDivisionError
+    and one of degree above 1 raises ValueError. A factor f0 + f1 z is
+    irreducible, so it divides num exactly when num vanishes at its root
+    -f0/f1; one Horner pass there gives both num(root) and the quotient.
+    If num(root) = 0, num becomes that quotient over f1 and the factor is
+    dropped; otherwise the factor joins den. This removes each root
+    min(its multiplicity in den, in num) times, which is the gcd: a kept
+    factor stays coprime to num, since if num(root) != 0, then
+    num = g (num / g) for a factor g divided out later gives
+    (num / g)(root) != 0.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den):
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
+    def __init__(self, num, *factors):
+        den = Polynomial.one()
+        for f in factors:
+            if f.is_zero:
+                raise ZeroDivisionError("rational function with zero denominator")
+            if f.degree > 1:
+                raise ValueError("denominator factor of degree above 1")
+            if num.is_zero:
+                continue
+            if f.degree == 1:
+                f0, f1 = f.coeffs
+                root, acc, quot = -f0 / f1, _QZERO, []
+                for c in reversed(num.coeffs):
+                    acc = acc * root + c
+                    quot.append(acc)
+                if quot.pop() == 0:
+                    num = Polynomial([x / f1 for x in reversed(quot)])
+                    continue
+            den = den * f
         if num.is_zero:
             self.num, self.den = Polynomial(()), Polynomial.one()
             return
-        # a constant denominator is a unit and shares no factor with num
-        g = poly_gcd(num, den) if den.degree > 0 else den
-        if g.degree > 0:
-            num, den = num.divexact(g), den.divexact(g)
         lead = den.leading_coefficient
         if lead != 1:
             num, den = num.scale(1 / lead), den.scale(1 / lead)
@@ -226,7 +212,7 @@ class RationalFunction:
 
     @staticmethod
     def zero():
-        return RationalFunction(Polynomial(()), Polynomial.one())
+        return RationalFunction(Polynomial(()))
 
     @property
     def is_zero(self):

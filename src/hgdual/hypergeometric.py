@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import comb, lcm, prod
+from math import lcm, prod
 
 from .exact_algebra import (
     Polynomial,
@@ -229,14 +229,9 @@ def duality_matrix(p):
     return matrix_invert(psi_matrix(hg_operator(p)))
 
 
-def _one_minus_z(k):
-    """The Polynomial (1 - z)^k."""
-    return Polynomial([(-1) ** i * comb(k, i) for i in range(k + 1)])
-
-
 def _over_one_minus_z(num, k):
     """The RationalFunction num(z) / (1 - z)^k, num a coefficient list."""
-    return RationalFunction(Polynomial(num), _one_minus_z(k))
+    return RationalFunction(Polynomial(num), *[Polynomial([1, -1])] * k)
 
 
 def anti_diagonal_entry(l):

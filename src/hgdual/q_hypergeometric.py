@@ -302,9 +302,9 @@ def closed_form_mq_r3(p):
     ea = elementary_symmetric(p.a)
     eb = elementary_symmetric(p.b)
     num = Polynomial([eb[1] / p.q, -ea[1]])
-    den = Polynomial([1, -1]) * Polynomial([1, -p.q])
+    m02 = RationalFunction(num, Polynomial([1, -1]), Polynomial([1, -p.q]))
     return [
-        [zero, superdiagonal_entry(p, 0), RationalFunction(num, den)],
+        [zero, superdiagonal_entry(p, 0), m02],
         [zero, zero, superdiagonal_entry(p, 1)],
         [corner_entry(p), zero, zero],
     ]

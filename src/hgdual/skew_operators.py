@@ -8,7 +8,7 @@ Operators are stored in theta-form (Theta mode, L = sum A_j theta^j) or
 shift-form (QShift mode, L = sum A_j Delta^j) with Polynomial coefficients
 A_0..A_r, so the pairing matrices and their determinants are polynomial.
 The entries of M = Psi^{-1} are the first fractions; each is a
-RationalFunction, normalised once.
+RationalFunction, normalised once at the roots of the pivots of Psi.
 """
 
 from __future__ import annotations
@@ -273,16 +273,17 @@ def _triangular_order(mat):
 def matrix_invert(mat):
     """Exact inverse, as a RationalFunction matrix, of a square polynomial
     matrix that is upper triangular up to row and column order
-    (_triangular_order), as the pairing matrices of both families are.
-    Raises ValueError for any other matrix, a singular one included.
+    (_triangular_order) with pivots of degree <= 1, as the pairing
+    matrices of both families are. Raises ValueError for any other matrix,
+    a singular one or one with a pivot of degree above 1 included.
 
     Taken in that order, mat is an upper triangular C with pivots
     d_m = C_mm, and C^{-1} has the entries Y_ij / prod_{m=i..j} d_m with
     Y_jj = 1 and
     Y_ij = -sum_{k=i+1..j} C_ik Y_kj prod_{m=i+1..k-1} d_m for i < j. The
     Y_ij take polynomial products and sums only, and each entry is
-    normalised once: a gcd over every intermediate rational function would
-    run on swollen coefficients.
+    normalised once, at the roots of its pivots d_i..d_j
+    (RationalFunction).
     """
     rows, cols = _triangular_order(mat)
     c = [[mat[i][j] for j in cols] for i in rows]
@@ -290,8 +291,8 @@ def matrix_invert(mat):
     out = [[_RF_ZERO] * n for _ in range(n)]
     for j in range(n):
         y = {j: Polynomial.one()}
-        pivots = c[j][j]
-        out[cols[j]][rows[j]] = RationalFunction(Polynomial.one(), pivots)
+        pivots = [c[j][j]]
+        out[cols[j]][rows[j]] = RationalFunction(Polynomial.one(), *pivots)
         for i in range(j - 1, -1, -1):
             # Horner in the pivots: term k picks up d_(i+1) ... d_(k-1)
             acc = Polynomial.zero()
@@ -300,8 +301,8 @@ def matrix_invert(mat):
                 if not c[i][k].is_zero:
                     acc = acc + c[i][k] * y[k]
             y[i] = -acc
-            pivots = c[i][i] * pivots
-            out[cols[i]][rows[j]] = RationalFunction(y[i], pivots)
+            pivots.append(c[i][i])
+            out[cols[i]][rows[j]] = RationalFunction(y[i], *pivots)
     return out
 
 
@@ -315,10 +316,6 @@ class CellResult:
     got_prefix: tuple = None
     first_diff: int = None
 
-    @property
-    def label(self):
-        return "(%d,%d)" % tuple(self.cell)
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -329,10 +326,6 @@ class VerificationReport:
     @property
     def passed(self):
         return all(c.passed for c in self.cells)
-
-    @property
-    def failures(self):
-        return tuple(c for c in self.cells if not c.passed)
 
 
 def check_cells(m, sums, structure_ok):

@@ -1,10 +1,12 @@
 """The direct definitions the tests compare the package with. No command
-runs any of them, so they live here and not in src/hgdual/: Fraction
-arithmetic on TruncatedSeries, field arithmetic on RationalFunction,
-rational reconstruction, the action of an operator and the pairings and
-Wronskians on tagged series, the r^3 bilinear sum, the general
-determinant and inverse, the matrix product, and the closed forms of the
-Pochhammer symbols and the dual bases. Each is a free function on the package's values."""
+runs any of them, so they live here and not in src/hgdual/: Euclid over Q
+and the normal form of a RationalFunction with any denominator (reduced),
+Fraction arithmetic on TruncatedSeries, field arithmetic on
+RationalFunction, rational reconstruction, the action of an operator and
+the pairings and Wronskians on tagged series, the r^3 bilinear sum, the
+failing cells of a report, the general determinant and inverse, the
+matrix product, and the closed forms of the Pochhammer symbols and the
+dual bases. Each is a free function on the package's values."""
 
 import operator
 from functools import reduce
@@ -16,7 +18,6 @@ from hgdual.exact_algebra import (
     Q,
     RationalFunction,
     TruncatedSeries,
-    poly_gcd,
     rat,
 )
 from hgdual.hypergeometric import hypergeometric_body, term_ratio_series
@@ -37,6 +38,64 @@ class OffsetMismatch(ValueError):
 
 class ReconstructionFailed(ValueError):
     """No rational function within the degree bounds matches the series."""
+
+
+# -- Euclid over Q: the reference normal form of RationalFunction
+
+
+def poly_divmod(p, d):
+    """Euclidean division: p = q*d + rem with deg rem < deg d."""
+    if d.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p.coeffs)
+    dq = len(p.coeffs) - len(d.coeffs)
+    if dq < 0:
+        return Polynomial(()), p
+    quot = [Q(0)] * (dq + 1)
+    lead = d.leading_coefficient
+    for k in range(dq, -1, -1):
+        c = rem[k + d.degree] / lead
+        quot[k] = c
+        if c != 0:
+            for j, dc in enumerate(d.coeffs):
+                rem[k + j] -= c * dc
+    return Polynomial(quot), Polynomial(rem)
+
+
+def poly_divexact(p, d):
+    q, rem = poly_divmod(p, d)
+    if not rem.is_zero:
+        raise ValueError("inexact polynomial division")
+    return q
+
+
+def poly_gcd(p, q):
+    """Monic greatest common divisor via the Euclidean algorithm."""
+    if p.is_zero and q.is_zero:
+        raise ValueError("gcd of two zero polynomials is undefined")
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, poly_divmod(a, b)[1]
+    return a.scale(1 / a.leading_coefficient)
+
+
+def reduced(num, den):
+    """num / den divided by poly_gcd(num, den), with den made monic: the
+    normal form RationalFunction(num, *factors) gives when den is the
+    product of the factors, here for any den. It is built through
+    object.__new__ and the two slots, because den need not split into the
+    factors of degree <= 1 that the constructor takes."""
+    if den.is_zero:
+        raise ZeroDivisionError("rational function with zero denominator")
+    f = object.__new__(RationalFunction)
+    if num.is_zero:
+        f.num, f.den = Polynomial(()), Polynomial.one()
+        return f
+    g = poly_gcd(num, den)
+    num, den = poly_divexact(num, g), poly_divexact(den, g)
+    lead = den.leading_coefficient
+    f.num, f.den = num.scale(1 / lead), den.scale(1 / lead)
+    return f
 
 
 # -- TruncatedSeries arithmetic: a binary operation keeps the lower order
@@ -175,7 +234,7 @@ def rational_reconstruct(a, num_deg, den_deg):
         if den.is_zero:
             continue
         prod = mul(series_of_poly(den, order), a)
-        f = RationalFunction(Polynomial(prod.coeffs[: num_deg + 1]), den)
+        f = reduced(Polynomial(prod.coeffs[: num_deg + 1]), den)
         if f.den.coefficient(0) == 0 or f.num.degree > num_deg:
             continue
         if series_of_ratfunc(f, order) == a:
@@ -186,42 +245,45 @@ def rational_reconstruct(a, num_deg, den_deg):
     )
 
 
-# -- RationalFunction arithmetic: each result normalised by the constructor
+# -- RationalFunction arithmetic: each result normalised by reduced
 
 
 def ratfunc(p):
     """The Polynomial p as a RationalFunction over the denominator 1."""
-    return RationalFunction(p, Polynomial.one())
+    return reduced(p, Polynomial.one())
 
 
 def rf_add(f, g):
-    return RationalFunction(f.num * g.den + g.num * f.den, f.den * g.den)
+    return reduced(f.num * g.den + g.num * f.den, f.den * g.den)
 
 
 def rf_sub(f, g):
-    return RationalFunction(f.num * g.den - g.num * f.den, f.den * g.den)
+    return reduced(f.num * g.den - g.num * f.den, f.den * g.den)
 
 
 def rf_mul(f, g):
-    return RationalFunction(f.num * g.num, f.den * g.den)
+    return reduced(f.num * g.num, f.den * g.den)
 
 
 def rf_div(f, g):
     if g.is_zero:
         raise ZeroDivisionError("division by the zero rational function")
-    return RationalFunction(f.num * g.den, f.den * g.num)
+    return reduced(f.num * g.den, f.den * g.num)
 
 
 def rf_theta(f):
     """z * d/dz, the Euler derivation: (theta(n) d - n theta(d)) / d^2."""
-    return RationalFunction(
-        f.num.theta() * f.den - f.num * f.den.theta(), f.den * f.den
-    )
+    return reduced(f.num.theta() * f.den - f.num * f.den.theta(), f.den * f.den)
 
 
 def rf_scale_arg(f, c):
     """Substitute z -> c*z."""
-    return RationalFunction(f.num.scale_arg(c), f.den.scale_arg(c))
+    return reduced(f.num.scale_arg(c), f.den.scale_arg(c))
+
+
+def failures(report):
+    """The failing cells of a VerificationReport."""
+    return tuple(c for c in report.cells if not c.passed)
 
 
 # -- operators and tagged series
@@ -376,7 +438,7 @@ def bareiss_det(mat):
         for row in m[k + 1 :]:
             factor = row[k]
             row[k + 1 :] = [
-                (pivot * x - factor * y).divexact(prev)
+                poly_divexact(pivot * x - factor * y, prev)
                 for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
             ]
         prev = pivot
@@ -405,11 +467,11 @@ def gauss_jordan_invert(mat):
                 continue
             factor = row[k]
             row[k + 1 :] = [
-                (pivot * x - factor * y).divexact(prev)
+                poly_divexact(pivot * x - factor * y, prev)
                 for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
             ]
         prev = pivot
-    return [[RationalFunction(x, prev) for x in row[n:]] for row in m]
+    return [[reduced(x, prev) for x in row[n:]] for row in m]
 
 
 def entrywise_mul(a, b):
@@ -431,11 +493,11 @@ def matrix_mul(a, b):
     by b, and entry (i, j) is normalised once, as (C b)_ij / den."""
     den = Polynomial.one()
     for e in (e for row in a for e in row):
-        den = (den * e.den).divexact(poly_gcd(den, e.den))
-    ca = [[e.num * den.divexact(e.den) for e in row] for row in a]
+        den = poly_divexact(den * e.den, poly_gcd(den, e.den))
+    ca = [[e.num * poly_divexact(den, e.den) for e in row] for row in a]
     cols, zero_ = list(zip(*b)), Polynomial.zero()
     return [
-        [RationalFunction(sum(map(operator.mul, row, col), zero_), den) for col in cols]
+        [reduced(sum(map(operator.mul, row, col), zero_), den) for col in cols]
         for row in ca
     ]
 

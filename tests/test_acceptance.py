@@ -16,7 +16,7 @@ from hgdual.cli import (
     THETA_R2_FIXTURES,
     THETA_R3_FIXTURES,
 )
-from hgdual.exact_algebra import Polynomial, Q, RationalFunction, TruncatedSeries, rat
+from hgdual.exact_algebra import Polynomial, Q, TruncatedSeries, rat
 from hgdual.hypergeometric import (
     HGParams,
     closed_form_m_r2,
@@ -54,10 +54,12 @@ from hgdual.skew_operators import (
 )
 from oracles import (
     annihilates,
+    failures,
     mul,
     omega_pairing,
     omega_q_pairing,
     rational_reconstruct,
+    reduced,
     rescale_operator,
     scale,
     scale_operator,
@@ -91,7 +93,7 @@ def test_01_theta_duality_suite():
         for _ in range(5):
             p = sample_theta_params(rng, r)
             report = verify_theorem1(p, 40)
-            assert report.passed, (p, [c.label for c in report.failures])
+            assert report.passed, (p, [c.cell for c in failures(report)])
     elapsed = time.time() - start
     assert elapsed < 30, "budget exceeded: %.1fs" % elapsed
     _ok(1, "theta duality suite, r in 2..5, 5 samples each, order 40")
@@ -105,7 +107,7 @@ def test_02_qshift_duality_suite():
             for _ in range(5):
                 p = sample_qshift_params(rng, r, q)
                 report = verify_theorem2(p, 40)
-                assert report.passed, (p, [c.label for c in report.failures])
+                assert report.passed, (p, [c.cell for c in failures(report)])
                 m = q_duality_matrix(p)
                 for k in range(r):
                     for l in range(r):
@@ -239,7 +241,7 @@ def test_09_kernel_properties():
         den_coeffs = [Q(rng.randint(1, 9))] + [
             Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(den_deg)
         ]
-        f = RationalFunction(num, Polynomial(den_coeffs))
+        f = reduced(num, Polynomial(den_coeffs))
         s = series_of_ratfunc(f, num_deg + den_deg + 2)
         assert rational_reconstruct(s, num_deg, den_deg) == f
     for _ in range(20):

@@ -29,7 +29,7 @@ from hgdual.exact_algebra import (
     TruncatedSeries,
     rat,
 )
-from oracles import ratfunc, rf_add
+from oracles import ratfunc, reduced, rf_add
 
 
 def run(capsys, *argv):
@@ -399,7 +399,7 @@ class TestDeterminism:
 def ratfunc_of_json(entry):
     num = Polynomial([rat(c) for c in entry["num"]])
     den = Polynomial([rat(c) for c in entry["den"]])
-    return RationalFunction(num, den)
+    return reduced(num, den)
 
 
 class TestMatrix:
@@ -543,6 +543,13 @@ PINNED_STDOUT = [
     ('verify --qhg --q 1/2 -r 5 --seed 1 --format json', 'ef7248ccc763f7748768fd893610d4044f16ea495290205f420f5a4aa23d6fa1'),
     ('verify --qhg --q 2/3 -r 2 --seed 1 --format json', 'e531c0fc3054cfcacd796d25fc8aba9b5c19748358860bee67223ad8df11157c'),
     ('verify --qhg --q 2/3 -r 5 --seed 1 --format json', '101001165f170477aaeb86599a504054dd494b9109c8737b567a1aec3e6a31be'),
+    # recorded while RationalFunction still reduced by Euclid over Q: the
+    # tallest entries of M the command line accepts, and the one entry
+    # that cancels, (1/6)/(z - 1)
+    ('matrix --hg -r 12 --seed 1 --check --format json', '3881fb0e924d69ae4a0dd2d7eff6fde309bf274c69285b3a20706e20ca5b658d'),
+    ('matrix --qhg --q 1/2 -r 12 --seed 1 --check --format json', 'a76a20f44172972052cd35754f1eb358b660757718e466559d9d4eb4790ba7fd'),
+    ('matrix --qhg --q 2/3 -r 12 --seed 1 --check --format json', 'cffb588fbc99ec12d00833f3bbc5a22ef5119c6aa6bcc2568a5c07a6a0854860'),
+    ('matrix --hg --a 1/2,1/3 --b 5/6 --check --format json', '389f11ea80cc3bd1eeac135144b198e0567d46c063db837168007e503ecc236e'),
 ]
 
 

@@ -11,15 +11,17 @@ from hgdual.exact_algebra import (
     PoleAtOrigin,
     RationalFunction,
     TruncatedSeries,
-    poly_gcd,
 )
 from oracles import (
     ReconstructionFailed,
     add,
     evaluate,
     mul,
+    poly_divmod,
+    poly_gcd,
     ratfunc,
     rational_reconstruct,
+    reduced,
     rf_add,
     rf_div,
     rf_mul,
@@ -70,7 +72,7 @@ class TestPolynomial:
 
     def test_divmod(self):
         p, d = P(-1, 0, 0, 1), P(-1, 1)
-        q, r = p.divmod(d)
+        q, r = poly_divmod(p, d)
         assert r.is_zero
         assert q * d == p
 
@@ -112,16 +114,14 @@ def derivative(p):
 
 def theta_by_quotient_rule(f):
     """theta(n / d) = z (n' d - n d') / d^2, normalised at each step."""
-    d = RationalFunction(
-        derivative(f.num) * f.den - f.num * derivative(f.den), f.den * f.den
-    )
-    return RationalFunction(P(0, 1) * d.num, d.den)
+    d = reduced(derivative(f.num) * f.den - f.num * derivative(f.den), f.den * f.den)
+    return reduced(P(0, 1) * d.num, d.den)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_nonzero_polys, _nonzero_polys, _nonzero_polys)
 def test_rational_theta_is_the_quotient_rule(num, den, p):
-    f = RationalFunction(num, den)
+    f = reduced(num, den)
     assert rf_theta(f) == theta_by_quotient_rule(f)
     assert p.theta() == P(0, 1) * derivative(p)
     assert rf_theta(ratfunc(p)) == ratfunc(p.theta())
@@ -141,17 +141,17 @@ class TestRationalFunction:
         f = RationalFunction(P(1), P(1, -1))
         g = RationalFunction(P(1), P(1, 1))
         # 2/(1-z^2), with the denominator made monic
-        assert rf_add(f, g) == RationalFunction(P(2), P(1, 0, -1))
+        assert rf_add(f, g) == RationalFunction(P(2), P(1, -1), P(1, 1))
 
     def test_den_monic_and_reduced(self):
-        f = RationalFunction(P(0, 2), P(0, 0, 4))
+        f = RationalFunction(P(0, 2), P(0, 2), P(0, 2))
         assert f.num == P(Q(1, 2))
         assert f.den == P(0, 1)
 
     def test_theta(self):
         # theta(1/(1-z)) = z/(1-z)^2
         f = RationalFunction(P(1), P(1, -1))
-        assert rf_theta(f) == RationalFunction(P(0, 1), P(1, -2, 1))
+        assert rf_theta(f) == RationalFunction(P(0, 1), P(1, -1), P(1, -1))
 
     def test_scale_arg(self):
         f = RationalFunction(P(1), P(1, -1))
@@ -197,7 +197,7 @@ class TestSeriesOfRatfunc:
         assert series_of_ratfunc(f, 2) == S(1, -1, 0)
 
     def test_geometric_squared(self):
-        f = RationalFunction(P(1), P(1, -2, 1))
+        f = RationalFunction(P(1), P(1, -1), P(1, -1))
         assert series_of_ratfunc(f, 3) == S(1, 2, 3, 4)
 
     def test_pole_at_origin_rejected(self):
@@ -233,7 +233,7 @@ class TestRationalReconstruct:
 
     def test_pade(self):
         f = rational_reconstruct(S(1, 2, 3, 4, 5, 6), 0, 2)
-        assert f == RationalFunction(P(1), P(1, -2, 1))
+        assert f == RationalFunction(P(1), P(1, -1), P(1, -1))
 
     def test_order_precondition(self):
         with pytest.raises(ValueError):
@@ -261,7 +261,46 @@ def test_poly_ring_axioms(f, g, h):
 
 def ratfunc_strategy():
     nonzero_poly = poly_strategy(3).filter(lambda p: not p.is_zero)
-    return st.builds(RationalFunction, poly_strategy(3), nonzero_poly)
+    return st.builds(reduced, poly_strategy(3), nonzero_poly)
+
+
+# few roots, so that roots repeat in the factors and num shares them
+_roots = st.sampled_from((Q(0), Q(1), Q(-1), Q(1, 2), Q(2, 3)))
+_leads = rationals.filter(lambda c: c != 0)
+
+
+def _linear(root, lead):
+    return P(-lead * root, lead)
+
+
+_factors = st.one_of(st.builds(P, _leads), st.builds(_linear, _roots, _leads))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    factors=st.lists(_factors, max_size=6),
+    picks=st.lists(st.booleans(), min_size=6, max_size=6),
+    shared=st.lists(_roots, max_size=3),
+    rest=poly_strategy(3),
+)
+def test_linear_factors_give_the_euclid_normal_form(factors, picks, shared, rest):
+    """RationalFunction(num, *factors), reduced at the roots of the
+    factors, is the Euclid normal form of num over their product."""
+    num = rest
+    for f, pick in zip(factors, picks):
+        if pick:
+            num = num * f
+    for root in shared:
+        num = num * P(-root, 1)
+    den = Polynomial.one()
+    for f in factors:
+        den = den * f
+    assert RationalFunction(num, *factors) == reduced(num, den)
+    root = shared[0] if shared else Q(1)
+    with pytest.raises(ValueError):
+        RationalFunction(num, *factors, P(-root, 1) * P(-root, 1))
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction(num, *factors, Polynomial.zero())
 
 
 @settings(max_examples=40, deadline=None)
@@ -307,7 +346,7 @@ def test_reconstruct_returns_f_exactly_within_degree_bound(num, den, r, extra):
     N > 2r, reconstruction with degrees (r, r) gives f back exactly when
     deg num(f) <= r and deg den(f) <= r; skew_operators.check_cells relies
     on this to use the degree bound in its place."""
-    f = RationalFunction(num, den)
+    f = reduced(num, den)
     try:
         got = rational_reconstruct(series_of_ratfunc(f, 2 * r + 1 + extra), r, r)
     except ReconstructionFailed:
