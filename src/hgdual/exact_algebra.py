@@ -1,7 +1,8 @@
 """Exact arithmetic kernel: rationals, univariate polynomials in z,
 rational functions as reduced values whose denominators come as factors of
 degree at most 1, truncated power series, and the bilinear-sum kernel that
-forms their products over integers.
+forms their products over integers, each term of a sum a rational weight
+and an integer scale.
 
 Everything is exact; there is no floating point anywhere in this package.
 Values are immutable after construction, so all operations are pure.
@@ -28,7 +29,6 @@ __all__ = [
     "bilinear_combinations",
     "integer_scale_arg",
     "integer_first_mismatch",
-    "series_of_integer_vector",
     "PoleAtOrigin",
 ]
 
@@ -234,8 +234,9 @@ class RationalFunction:
 
 class TruncatedSeries:
     """Power series known exactly through z^order; coeffs has length
-    order+1. The commands form their series products in
-    bilinear_combinations, over integers."""
+    order+1. A value with no arithmetic: the commands form their series
+    products in bilinear_combinations, over integers, and compare a series
+    with one of them through integer_vector."""
 
     __slots__ = ("coeffs", "order")
 
@@ -244,10 +245,6 @@ class TruncatedSeries:
         self.order = len(self.coeffs) - 1
         if self.order < 0:
             raise ValueError("series order must be non-negative")
-
-    @staticmethod
-    def one(order):
-        return TruncatedSeries([_QONE] + [_QZERO] * order)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -318,32 +315,14 @@ def _carried(states, count):
         yield state, d_m, cross
 
 
-def _share(pairs, scales, factors, consts, length):
-    """Every output coefficient of every output of bilinear_combinations,
-    each reduced by its own gcd: one row of (numerator, denominator) pairs
-    per output."""
-    lifts = [zip(_graded_lifts(a, length), _graded_lifts(b, length)) for a, b in pairs]
-    rows = [[] for _ in consts]
-    for state, d_m, cross in _carried(zip(*lifts), len(pairs)):
-        sums = [0] * len(consts)
-        for i, ((a, _), (b, _)) in enumerate(state):
-            terms = list(map(mul, a, reversed(b)))
-            for j, (srow, frow) in enumerate(zip(scales, factors)):
-                sums[j] += frow[i] * cross[i] * sum(map(mul, terms, srow[i]))
-        for row, acc, e in zip(rows, sums, consts):
-            den = e * d_m
-            g = gcd(acc, den)
-            row.append((acc // g, den // g))
-    return rows
-
-
 def bilinear_combinations(pairs, outputs):
     """Reduced integer vectors (v_j, d_j) of the sums
     sum_i w_ij (s_ij a_i) * b_i, truncated to the common order.
 
     pairs[i] = (a_i, b_i) holds two TruncatedSeries, and
-    outputs[j][i] = (w_ij, (s_ij, sd_ij)) a rational weight and an integer
-    scale: coefficient n of a_i is multiplied by s_ij[n] / sd_ij.
+    outputs[j][i] = (w_ij, s_ij) a rational weight and an integer scale
+    vector: coefficient n of a_i is multiplied by s_ij[n]. A caller whose
+    scale has a denominator folds it into the weight.
 
     Coefficient m of a product needs its factors only through z^m, so it
     is formed over graded denominators. Each series is lifted over L(m),
@@ -357,21 +336,32 @@ def bilinear_combinations(pairs, outputs):
     cross factors D_m / (La_i(m) Lb_i(m)); both are carried from m-1 by
     the steps (_carried), with no lcm nor division of tall numbers. Each
     big product a_i[n] b_i[m-n] is formed once and serves every output.
-    The weight and scale denominators stay out of D_m, in one constant E_j
-    per output. Output coefficient m is reduced by one
-    gcd against its own denominator E_j D_m, and the reduced coefficients
-    of an output are put over their lcm at the end.
+    The weight denominators stay out of D_m, in one constant E_j per
+    output, their lcm. Output coefficient m is reduced by one gcd against
+    its own denominator E_j D_m, and the reduced coefficients of an output
+    are put over their lcm at the end.
     """
-    dens = [[int(w.denominator) * sd for w, (_, sd) in row] for row in outputs]
-    consts = [lcm(*row) for row in dens]
+    consts = [lcm(*(int(w.denominator) for w, _ in row)) for row in outputs]
     factors = [
-        [int(w.numerator) * (e // td) for (w, _), td in zip(row, drow)]
-        for row, drow, e in zip(outputs, dens, consts)
+        [int(w.numerator) * (e // int(w.denominator)) for w, _ in row]
+        for row, e in zip(outputs, consts)
     ]
-    scales = [[s for _, (s, _) in row] for row in outputs]
+    scales = [[s for _, s in row] for row in outputs]
     length = min(len(s.coeffs) for pair in pairs for s in pair)
+    lifts = [zip(_graded_lifts(a, length), _graded_lifts(b, length)) for a, b in pairs]
+    rows = [[] for _ in consts]
+    for state, d_m, cross in _carried(zip(*lifts), len(pairs)):
+        sums = [0] * len(consts)
+        for i, ((a, _), (b, _)) in enumerate(state):
+            terms = list(map(mul, a, reversed(b)))
+            for j, (srow, frow) in enumerate(zip(scales, factors)):
+                sums[j] += frow[i] * cross[i] * sum(map(mul, terms, srow[i]))
+        for row, acc, e in zip(rows, sums, consts):
+            den = e * d_m
+            g = gcd(acc, den)
+            row.append((acc // g, den // g))
     result = []
-    for out in _share(pairs, scales, factors, consts, length):
+    for out in rows:
         d = lcm(*(e for _, e in out))
         result.append(([x * (d // e) for x, e in out], d))
     return result
@@ -410,8 +400,3 @@ def integer_first_mismatch(v, d, f):
         if acc != (num[n] * d if n < len(num) else 0):
             return n
     return None
-
-
-def series_of_integer_vector(v, d):
-    """The TruncatedSeries with coefficients v[n] / d."""
-    return TruncatedSeries([Q(x, d) for x in v])

@@ -20,6 +20,7 @@ from .exact_algebra import (
     RationalFunction,
     TruncatedSeries,
     bilinear_combinations,
+    integer_vector,
     is_integer,
     rat,
 )
@@ -245,11 +246,12 @@ def bilinear_sum_table(p, N):
     the sums of a verify whose pairing certificate is refused, and the
     product identities of paper-regression.
 
-    With c_i the exponent of f_i, theta^k(f_i) g_i has the body
-    ((c_i + theta)^k phi_i) psi_i, whose coefficient n before the product is
-    (c_i + n)^k phi_in. So the first column T_k0, k = 0..2r-2, is one
-    kernel call of 2r-1 outputs that reweight one set of big products
-    phi_in psi_ij per i by small integers. The Leibniz rule
+    With c_i = s_i / t_i the exponent of f_i, theta^k(f_i) g_i has the
+    body ((c_i + theta)^k phi_i) psi_i, whose coefficient n before the
+    product is (c_i + n)^k phi_in. So the first column T_k0, k = 0..2r-2,
+    is one kernel call of 2r-1 outputs that reweight one set of big
+    products phi_in psi_ij per i: term i of output k has the weight
+    w_i / t_i^k and the integer scale (s_i + n t_i)^k. The Leibniz rule
     theta(T_kl) = T_(k+1)l + T_k(l+1) then gives the other columns as
     T_k(l+1) = theta(T_kl) - T_(k+1)l, exactly through z^N.
     """
@@ -258,19 +260,16 @@ def bilinear_sum_table(p, N):
     primal = solution_basis(p, N, "primal").entries
     dual = solution_basis(p, N, "dual").entries
     pairs = [(f.body, g.body) for f, g in zip(primal, dual)]
-    # (c_i + n)^k = scales[i][k][n] / t_i^k with c_i = s_i / t_i
-    scales = []
-    for f in primal:
+    # w_i (c_i + n)^k = (w_i / t_i^k) powers[k][n] with c_i = s_i / t_i
+    terms = []
+    for w, f in zip(weights, primal):
         s, t = int(f.offset.numerator), int(f.offset.denominator)
         base = [s + n * t for n in range(N + 1)]
         powers = [[1] * (N + 1)]
         for _ in range(2 * r - 2):
             powers.append([x * y for x, y in zip(powers[-1], base)])
-        scales.append([(v, t**k) for k, v in enumerate(powers)])
-    outputs = [
-        [(w, scale[k]) for w, scale in zip(weights, scales)] for k in range(2 * r - 1)
-    ]
-    column = bilinear_combinations(pairs, outputs)
+        terms.append([(w / t**k, v) for k, v in enumerate(powers)])
+    column = bilinear_combinations(pairs, list(zip(*terms)))
     d = lcm(*(cd for _, cd in column))
     table = [[[x * (d // cd) for x in cv] for cv, cd in column]]
     for _ in range(r - 1):
@@ -340,22 +339,22 @@ def closed_form_m_r3(p):
 def verify_euler_identity(a1, a2, b1, N):
     """Two classical order-2 checks at the given parameters, both on the
     kernel verify uses: the quadratic transformation
-    F(a,b;c;z) = (1-z)^{c-a-b} F(c-a,c-b;c;z), as the vanishing of
-    prefactor * right - left, and the four-product identity
+    F(a,b;c;z) = (1-z)^{c-a-b} F(c-a,c-b;c;z), as one kernel product
+    prefactor * right with a unit scale, and the four-product identity
     f_1 g_1 = f_0 g_0, which is the (0,0) cell of the bilinear sum table
-    (at r = 2 the weights are w_1 = -w_0)."""
+    (at r = 2 the weights are w_1 = -w_0).
+
+    The kernel and integer_vector both give the canonical pair (v, d) of
+    the reduced coefficients over their lcm, so == holds exactly when
+    prefactor * right = left through z^N."""
     a1, a2, b1 = rat(a1), rat(a2), rat(b1)
     left = hypergeometric_body([a1, a2], [b1], N)
     right = hypergeometric_body([b1 - a1, b1 - a2], [b1], N)
     prefactor = hypergeometric_body([a1 + a2 - b1], [], N)  # (1-z)^{c-a-b}
-    ones = ([1] * (N + 1), 1)
-    [(transform, _)] = bilinear_combinations(
-        [(prefactor, right), (left, TruncatedSeries.one(N))],
-        [[(1, ones), (-1, ones)]],
-    )
+    [transform] = bilinear_combinations([(prefactor, right)], [[(1, [1] * (N + 1))]])
     product, _ = bilinear_sum_table(HGParams.make([a1, a2], [b1]), N)[0][0]
     cells = (
-        CellResult((0, 0), not any(transform)),
+        CellResult((0, 0), transform == integer_vector(left)),
         CellResult((0, 1), not any(product)),
     )
     return VerificationReport(cells)

@@ -245,7 +245,8 @@ def q_bilinear_sum_table(p, N):
     E_e(w) = sum_i w_i mu_i^e phi_i(q^e w) psi_i(w),  e = k-l,
     at w = q^l z. The 2r-1 shift sums are one kernel call, whose outputs
     reweight one set of big products phi_in psi_ij per i by the small
-    powers q^(en).
+    powers q^(en) = v_n / d: term i of output e has the weight
+    w_i mu_i^e / d and the integer scale v.
     """
     r, q = p.r, p.q
     weights = q_duality_weights(p)
@@ -254,8 +255,8 @@ def q_bilinear_sum_table(p, N):
     pairs = [(f.body, g.body) for f, g in zip(primal, dual)]
     outputs = []
     for e in range(1 - r, r):
-        scale = integer_scale_arg([1] * (N + 1), 1, q**e)
-        outputs.append([(w * f.offset**e, scale) for w, f in zip(weights, primal)])
+        scale, d = integer_scale_arg([1] * (N + 1), 1, q**e)
+        outputs.append([(w * f.offset**e / d, scale) for w, f in zip(weights, primal)])
     sums = bilinear_combinations(pairs, outputs)
     return [
         [integer_scale_arg(*sums[k - l + r - 1], q**l) for l in range(r)]

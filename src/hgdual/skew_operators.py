@@ -25,7 +25,6 @@ from .exact_algebra import (
     integer_first_mismatch,
     is_integer,
     rat,
-    series_of_integer_vector,
 )
 
 THETA = "theta"
@@ -371,9 +370,7 @@ def check_cells(m, sums, structure_ok):
                     (k, l),
                     ok,
                     expected=None if ok else entry,
-                    got_prefix=None
-                    if ok
-                    else series_of_integer_vector(v[: 2 * r + 2], d).coeffs,
+                    got_prefix=None if ok else tuple(Q(x, d) for x in v[: 2 * r + 2]),
                     first_diff=first_diff,
                 )
             )

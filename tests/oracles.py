@@ -105,6 +105,15 @@ def zero(order):
     return TruncatedSeries([0] * (order + 1))
 
 
+def one(order):
+    return TruncatedSeries([1] + [0] * order)
+
+
+def series_of_integer_vector(v, d):
+    """The TruncatedSeries with coefficients v[n] / d."""
+    return TruncatedSeries([Q(x, d) for x in v])
+
+
 def add(a, b):
     return TruncatedSeries([x + y for x, y in zip(a.coeffs, b.coeffs)])
 
@@ -398,7 +407,7 @@ def wronskian_det(rows):
     n = min(s.body.order for s in rows)
     det = zero(n)
     for perm in permutations(range(r)):
-        term = TruncatedSeries.one(n)
+        term = one(n)
         for k in range(r):
             term = mul(term, mat[k][perm[k]].body)
         det = add(det, scale(term, -1) if _odd(perm) else term)

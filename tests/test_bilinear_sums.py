@@ -49,7 +49,6 @@ from hgdual.exact_algebra import (
     integer_scale_arg,
     integer_vector,
     is_integer,
-    series_of_integer_vector,
 )
 from oracles import (
     add,
@@ -64,6 +63,7 @@ from oracles import (
     scale,
     scale_arg,
     series_of_poly,
+    series_of_integer_vector,
     series_of_ratfunc,
     sub,
     theta,
@@ -127,12 +127,13 @@ def _expected_combinations(pairs, outputs):
 
 
 def _combine(pairs, outputs):
-    """bilinear_combinations on series pairs, with the scales of outputs
-    passed as integer vectors."""
-    return bilinear_combinations(
-        pairs,
-        [[(w, integer_vector(scale)) for w, scale in row] for row in outputs],
-    )
+    """bilinear_combinations on series pairs, with each scale of outputs
+    passed as an integer vector (v, d) and its d folded into the weight."""
+    folded = []
+    for row in outputs:
+        vectors = [integer_vector(scale) for _, scale in row]
+        folded.append([(w / d, v) for (w, _), (v, d) in zip(row, vectors)])
+    return bilinear_combinations(pairs, folded)
 
 
 def _assert_reduced(v, d):
@@ -289,7 +290,7 @@ def test_children_reaped_when_parent_share_raises(monkeypatch):
     def interrupted(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(exact_algebra, "_share", interrupted)
+    monkeypatch.setattr(exact_algebra, "_carried", interrupted)
     with pytest.raises(KeyboardInterrupt):
         _combine(KERNEL_PAIRS, KERNEL_OUTPUTS)
     assert forks == []
@@ -542,12 +543,13 @@ FAMILIES = {
 
 
 def _kernel_outputs(mp, module):
-    """Record the number of outputs of each kernel call of module."""
+    """Record the numbers of pairs and of outputs of each kernel call of
+    module."""
     counts = []
     kernel = module.bilinear_combinations
 
     def counted(pairs, outputs):
-        counts.append(len(outputs))
+        counts.append((len(pairs), len(outputs)))
         return kernel(pairs, outputs)
 
     mp.setattr(module, "bilinear_combinations", counted)
@@ -567,7 +569,7 @@ def test_certified_table_equals_all_outputs(family, ab, extra):
     with pytest.MonkeyPatch.context() as mp:
         counts = _kernel_outputs(mp, module)
         table = module.bilinear_sum_table(p, N)
-        assert counts == [2 * r - 1]
+        assert counts == [(r, 2 * r - 1)]
     direct = _direct_theta_sums(p, N) if module is hg else _direct_q_sums(p, N)
     _assert_tables_equal(table, direct, r)
 
@@ -584,7 +586,7 @@ def test_generic_parameters_take_the_certified_path(monkeypatch, family, r):
     assert module.verify(p, minimum_order(r)).passed
     assert counts == []
     module.bilinear_sum_table(p, minimum_order(r))
-    assert counts == [2 * r - 1]
+    assert counts == [(r, 2 * r - 1)]
 
 
 def _cli_codes(module, p, N):
@@ -615,14 +617,14 @@ def test_off_operator_basis_takes_all_outputs(monkeypatch, family, where):
     assert not annihilated(module.operator(p), primal)
     counts = _kernel_outputs(monkeypatch, module)
     report = module.verify(p, N)
-    assert counts == [2 * r - 1]
+    assert counts == [(r, 2 * r - 1)]
     assert not report.passed
     direct = _direct_theta_sums(p, N) if module is hg else _direct_q_sums(p, N)
     sums = [[integer_vector(s) for s in row] for row in direct]
     structure = partial(module.structure_ok, p)
     assert report == check_cells(module.duality_matrix(p), sums, structure)
     assert _cli_codes(module, p, N) == [1, 1]
-    assert counts == [2 * r - 1] * 3
+    assert counts == [(r, 2 * r - 1)] * 3
 
 
 # The pairing certificate: verify forms no sum when the checks of
@@ -720,7 +722,7 @@ def test_series_and_kernel_reports_are_equal(family, ab, change, data):
         assert counts == []
         mp.setattr(skew_operators, "pairing_certifies", lambda *args: False)
         kernel = module.verify(p, N)
-        assert counts == [2 * r - 1]
+        assert counts == [(r, 2 * r - 1)]
     assert not series.passed
     assert series == kernel
     if change == "far":
@@ -1054,16 +1056,44 @@ def test_perturbed_basis_fails_the_product_cell_only(monkeypatch, identity):
     assert [c.cell for c in failures(check(p, 20))] == [cell]
 
 
-def test_perturbed_prefactor_fails_the_transformation_cell_only(monkeypatch):
+# The three bodies of Euler's transformation F(a,b;c;z) = prefactor * right
+# with left = F(a,b;c;z), by the upper parameters at a = 1/2, b = 1/3,
+# c = 1/5.
+EULER_BODIES = {
+    "left": [Q(1, 2), Q(1, 3)],
+    "right": [Q(1, 5) - Q(1, 2), Q(1, 5) - Q(1, 3)],
+    "prefactor": [Q(1, 2) + Q(1, 3) - Q(1, 5)],
+}
+
+
+@pytest.mark.parametrize("body", sorted(EULER_BODIES))
+def test_perturbed_body_fails_the_transformation_cell_only(monkeypatch, body):
     original = hg.hypergeometric_body
 
     def perturbed(upper, lower, N):
-        """(1-z)^(c-a-b), the one body without lower parameters, gains z^5."""
-        body = original(upper, lower, N)
-        if lower:
-            return body
-        return add(body, TruncatedSeries([0] * 5 + [1] + [0] * (N - 5)))
+        """The chosen body of the transformation gains z^5."""
+        series = original(upper, lower, N)
+        if list(upper) != EULER_BODIES[body]:
+            return series
+        return add(series, TruncatedSeries([0] * 5 + [1] + [0] * (N - 5)))
 
     monkeypatch.setattr(hg, "hypergeometric_body", perturbed)
     report = hg.verify_euler_identity(Q(1, 2), Q(1, 3), Q(1, 5), 20)
     assert [c.cell for c in failures(report)] == [(0, 0)]
+
+
+def test_paper_regression_kernel_traffic(monkeypatch):
+    """paper-regression forms Euler's transformation as one product (one
+    pair, one output) and each r = 2 table in one call of 2 pairs and 3
+    outputs, five fixtures each; a passing verify forms no sum."""
+    theta = _kernel_outputs(monkeypatch, hg)
+    qshift = _kernel_outputs(monkeypatch, qhg)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert hgdual.cli.main(["paper-regression"]) == 0
+    assert theta == [(1, 1), (2, 3)] * 5
+    assert qshift == [(2, 3)] * 5
+    del theta[:], qshift[:]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert hgdual.cli.main(["verify", "--hg", "-r", "3", "--seed", "1"]) == 0
+        assert hgdual.cli.main(["verify", "--qhg", "--q", "2/3", "-r", "3"]) == 0
+    assert theta == qshift == []

@@ -550,6 +550,11 @@ PINNED_STDOUT = [
     ('matrix --qhg --q 1/2 -r 12 --seed 1 --check --format json', 'a76a20f44172972052cd35754f1eb358b660757718e466559d9d4eb4790ba7fd'),
     ('matrix --qhg --q 2/3 -r 12 --seed 1 --check --format json', 'cffb588fbc99ec12d00833f3bbc5a22ef5119c6aa6bcc2568a5c07a6a0854860'),
     ('matrix --hg --a 1/2,1/3 --b 5/6 --check --format json', '389f11ea80cc3bd1eeac135144b198e0567d46c063db837168007e503ecc236e'),
+    # recorded while the bilinear-sum kernel still took a scale denominator
+    # apart from the weight: the shortest and the longest series that
+    # paper-regression hands it
+    ('paper-regression --order 16 --format json', 'b2af62c6f4143b78795b7fcc188a4f8e734016627a089d6cdd87658b28f54f59'),
+    ('paper-regression --order 56 --format json', 'd2a78e5ac86b74edcbe75122bd14a5e295d7c2dfc1b33c15c4c133c18e89438f'),
 ]
 
 

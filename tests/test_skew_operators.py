@@ -17,7 +17,6 @@ from hgdual.exact_algebra import (
     Q,
     RationalFunction,
     TruncatedSeries,
-    series_of_integer_vector,
 )
 from hgdual.skew_operators import (
     QSHIFT,
@@ -53,6 +52,7 @@ from oracles import (
     rf_sub,
     rf_theta,
     scale,
+    series_of_integer_vector,
     series_of_ratfunc,
     wronskian_det,
     zero,
