@@ -35,12 +35,12 @@ EXIT_PRECISION = 4
 
 # The largest r, sample count and truncation order the commands accept,
 # so that every run ends in bounded time. One sample at r = 12 (seed 1,
-# default order; Python 3.11, Fraction backend, one CPU) takes about 0.2 s
-# for verify --hg and 0.4 s for verify --qhg --q 2/3 when the pairing
-# certificate holds and every cell passes, and 0.3 s resp. 0.6 s when one
-# cell fails, which reads the sums from the series of Psi^{-1}. With the
-# certificate refused, the kernel forms the bilinear sums in one call of
-# 2r-1 outputs, and a failing cell takes 3 s resp. 30 s. MAX_ORDER is the
+# default order; Python 3.11, Fraction backend, one CPU) takes about 0.17 s
+# for verify --hg and 0.21 s for verify --qhg --q 2/3 when the pairing
+# certificate holds and every cell passes, and 0.21 s resp. 0.34 s when one
+# cell fails, which extends the head of the series of Psi^{-1} to z^N. With
+# the certificate refused, the kernel forms the bilinear sums in one call of
+# 2r-1 outputs, and a failing cell takes 3.4 s resp. 36 s. MAX_ORDER is the
 # default truncation at r = MAX_R; verify --qhg --q 2/3 -r 2 took 110 s at
 # order 250 forming the sums.
 MAX_R = 12
@@ -200,9 +200,9 @@ def cmd_matrix(args):
         if args.check and args.command == "psi":
             doc["check"] = matrix_det(mat) == family.psi_det(op)
         elif args.check:
-            head = inverse_series(pairing, 2 * p.r + 1)
-            doc["check"] = head is not None and check_cells(
-                mat, head, lambda k, l, entry: True
+            series = inverse_series(pairing)
+            doc["check"] = series is not None and check_cells(
+                mat, series(2 * p.r + 1), lambda k, l, entry: True
             ).passed
         docs.append(doc)
     emit(args, docs, matrix_text)

@@ -1,8 +1,8 @@
 """Exact arithmetic kernel: rationals, univariate polynomials in z,
 rational functions as reduced values whose denominators come as factors of
-degree at most 1, truncated power series, and the bilinear-sum kernel that
-forms their products over integers, each term of a sum a rational weight
-and an integer scale.
+degree at most 1, truncated power series kept as integer graded data, and
+the bilinear-sum kernel that forms their products over integers, each term
+of a sum a rational weight and an integer scale.
 
 Everything is exact; there is no floating point anywhere in this package.
 Values are immutable after construction, so all operations are pure.
@@ -10,7 +10,7 @@ Values are immutable after construction, so all operations are pure.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 try:
@@ -233,31 +233,30 @@ class RationalFunction:
 
 
 class TruncatedSeries:
-    """Power series known exactly through z^order; coeffs has length
-    order+1. A value with no arithmetic: the commands form their series
-    products in bilinear_combinations, over integers, and compare a series
-    with one of them through integer_vector."""
+    """Power series through z^order as integer graded data: coefficient n
+    is nums[n] / L(n), L(n) = steps[0] ... steps[n], steps positive. L(n)
+    need not be the lcm of the denominators, so == compares values. No
+    arithmetic: bilinear_combinations forms products over the stored L(n),
+    and integer_vector compares a series with one of them."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("nums", "steps", "order")
 
-    def __init__(self, coeffs):
-        self.coeffs = tuple(rat(c) for c in coeffs)
-        self.order = len(self.coeffs) - 1
-        if self.order < 0:
-            raise ValueError("series order must be non-negative")
+    def __init__(self, nums, steps):
+        self.nums, self.steps = tuple(nums), tuple(steps)
+        self.order = len(self.nums) - 1
+        if self.order < 0 or len(self.steps) != len(self.nums) or min(self.steps) < 1:
+            raise ValueError("a series needs one positive step per numerator")
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return integer_vector(self) == integer_vector(other)
 
     def __repr__(self):
-        prefix = ", ".join(str(c) for c in self.coeffs[:8])
+        v, d = integer_vector(self)
+        head = ", ".join(str(Q(x, d)) for x in v[:8])
         tail = ", ..." if self.order >= 8 else ""
-        return "Series[%s%s; order=%d]" % (prefix, tail, self.order)
+        return "Series[%s%s; order=%d]" % (head, tail, self.order)
 
 
 # Integer vectors over one common denominator. A pair (v, d) of a list of
@@ -267,29 +266,25 @@ class TruncatedSeries:
 
 
 def integer_vector(s):
-    """(v, d) with s.coeffs[n] == v[n] / d, d the lcm of the denominators."""
-    d = lcm(*(int(c.denominator) for c in s.coeffs))
-    return [int(c.numerator) * (d // int(c.denominator)) for c in s.coeffs], d
+    """(v, d) with coefficient n of s equal to v[n] / d and d the lcm of
+    the reduced denominators: the last graded lift over L(N), divided by
+    its one gcd with L(N), the canonical form of any such (v, d)."""
+    *_, (v, _) = _graded_lifts(s, len(s.nums))
+    d = prod(s.steps)
+    g = gcd(d, *v)
+    return [x // g for x in v], d // g
 
 
 def _graded_lifts(s, length):
-    """For m = 0..length-1, yield (x, step): with L(m) the lcm of the
-    denominators of s.coeffs[0..m] and L(-1) = 1, step = L(m) / L(m-1)
-    and x[n] = s.coeffs[n] * L(m) for n <= m.
-
-    From m-1 to m, x is multiplied by the step and gains one entry. The
-    step is 1 whenever the new denominator divides L, and the prefix lcms
-    nest by construction even where the reduced denominators of the
-    coefficients do not.
-    """
-    x, prefix = [], 1
-    for c in s.coeffs[:length]:
-        num, den = int(c.numerator), int(c.denominator)
-        step = den // gcd(prefix, den)
+    """For m = 0..length-1, yield (x, step), step = s.steps[m] and x the
+    coefficients 0..m over L(m): x[n] = nums[n] steps[n+1] ... steps[m].
+    From m-1 to m, x is multiplied by the step and gains nums[m]; there is
+    no gcd and no division."""
+    x = []
+    for y, step in zip(s.nums[:length], s.steps[:length]):
         if step != 1:
-            prefix *= step
-            x = [y * step for y in x]
-        x.append(num * (prefix // den))
+            x = [z * step for z in x]
+        x.append(y)
         yield x, step
 
 
@@ -325,12 +320,12 @@ def bilinear_combinations(pairs, outputs):
     scale has a denominator folds it into the weight.
 
     Coefficient m of a product needs its factors only through z^m, so it
-    is formed over graded denominators. Each series is lifted over L(m),
-    the lcm of the denominators of its coefficients 0..m, not over the lcm
-    of the whole series, and the lifted vector is carried from m to m+1 by
-    the step factor L(m+1) / L(m), which is mostly 1 or small. In q-series
-    the height of coefficient n grows like n^2, so the low coefficients
-    stay far below the height of the last one.
+    is formed over graded denominators. Each series is lifted over its
+    stored L(m) = steps[0] ... steps[m] (TruncatedSeries), not over one
+    denominator of the whole series, and the lifted vector is carried from
+    m to m+1 by the step steps[m+1], which is mostly 1 or small. In
+    q-series the height of coefficient n grows like n^2, so the low
+    coefficients stay far below the height of the last one.
 
     At each m the pairs meet over D_m = lcm_i(La_i(m) Lb_i(m)), by the
     cross factors D_m / (La_i(m) Lb_i(m)); both are carried from m-1 by
@@ -347,7 +342,7 @@ def bilinear_combinations(pairs, outputs):
         for row, e in zip(outputs, consts)
     ]
     scales = [[s for _, s in row] for row in outputs]
-    length = min(len(s.coeffs) for pair in pairs for s in pair)
+    length = min(len(s.nums) for pair in pairs for s in pair)
     lifts = [zip(_graded_lifts(a, length), _graded_lifts(b, length)) for a, b in pairs]
     rows = [[] for _ in consts]
     for state, d_m, cross in _carried(zip(*lifts), len(pairs)):
@@ -391,10 +386,8 @@ def integer_first_mismatch(v, d, f):
     """
     if f.den.coefficient(0) == 0:
         raise PoleAtOrigin("rational function has a pole at z = 0")
-    num, e_num = integer_vector(f.num)
-    den, e_den = integer_vector(f.den)
-    num = [x * e_den for x in num]
-    den = [x * e_num for x in den]
+    e = lcm(*(int(c.denominator) for c in f.num.coeffs + f.den.coeffs))
+    num, den = ([int(c * e) for c in g.coeffs] for g in (f.num, f.den))
     for n in range(len(v)):
         acc = sum(map(mul, den[: n + 1], v[n::-1]))
         if acc != (num[n] * d if n < len(num) else 0):

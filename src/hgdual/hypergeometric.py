@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .exact_algebra import (
     Polynomial,
@@ -28,11 +28,11 @@ from .skew_operators import (
     THETA,
     CellResult,
     SkewOperator,
-    SolutionBasis,
     TaggedSeries,
     VerificationReport,
     dual_operator,
     matrix_invert,
+    product_sum,
     psi_matrix,
     verify_duality,
 )
@@ -166,12 +166,15 @@ def term_ratio_series(upper, lower, N, factor, scale=Q(1)):
     recurrence of both families: factor(x, n) is x + n resp. 1 - x q^n,
     the factorial is the last lower parameter, 1 resp. q, and the series
     is taken in the variable scale*z. factor takes x as the integer pair
-    (num(x), den(x)) and returns its value as an integer pair too, so that
-    each step forms one rational. A lower factor that vanishes at a step
-    n < N raises DegenerateParameters."""
+    (num(x), den(x)) and returns its value as an integer pair too. Each
+    step's ratio is reduced by one gcd of short integers to u/v, v > 0,
+    and kept as the step v and the numerator y_{n+1} = y_n u: a tall y_n
+    meets one short product and no gcd (TruncatedSeries). A body that has
+    ended keeps the step 1. A lower factor that vanishes at a step n < N
+    raises DegenerateParameters."""
     up = [(int(x.numerator), int(x.denominator)) for x in upper]
     low = [(int(x.numerator), int(x.denominator)) for x in lower]
-    coeffs = [Q(1)]
+    nums, steps = [1], [1]
     for n in range(N):
         num, den = int(scale.numerator), int(scale.denominator)
         for x in up:
@@ -185,9 +188,10 @@ def term_ratio_series(upper, lower, N, factor, scale=Q(1)):
             raise DegenerateParameters(
                 "lower parameter %s gives a zero factor at n = %d" % (l, n)
             )
-        # one product of the tall c_n by a short ratio, not two
-        coeffs.append(coeffs[-1] * Q(num, den))
-    return TruncatedSeries(coeffs)
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        nums.append(nums[-1] * (num // g))
+        steps.append(den // g if nums[-1] else 1)  # a zero needs no step
+    return TruncatedSeries(nums, steps)
 
 
 def _rising(x, n):
@@ -201,9 +205,9 @@ def hypergeometric_body(upper, lower, N):
 
 
 def solution_basis(p, N, which="primal"):
-    """The primal basis f_i = z^{1-b_i} F(a_k+1-b_i ; b_j+1-b_i) over all
-    j, where j = i gives the factorial 1; the dual basis g_i is the primal
-    basis of p.dual()."""
+    """The primal basis, a tuple of tagged series
+    f_i = z^{1-b_i} F(a_k+1-b_i ; b_j+1-b_i) over all j, where j = i gives
+    the factorial 1; the dual basis g_i is the primal basis of p.dual()."""
     if which not in ("primal", "dual"):
         raise ValueError("which must be 'primal' or 'dual'")
     if which == "dual":
@@ -213,7 +217,7 @@ def solution_basis(p, N, which="primal"):
         upper = [x + 1 - bi for x in p.a]
         body = term_ratio_series(upper, [x + 1 - bi for x in p.b], N, _rising)
         entries.append(TaggedSeries(THETA, 1 - bi, body))
-    return SolutionBasis(tuple(entries))
+    return tuple(entries)
 
 
 def c_constants(p):
@@ -243,8 +247,7 @@ def anti_diagonal_entry(l):
 def bilinear_sum_table(p, N):
     """Every sum T_kl = sum_i w_i theta^k(f_i) theta^l(g_i), 0 <= k, l < r,
     through z^N, as integer vectors (v, d) over one common denominator:
-    the sums of a verify whose pairing certificate is refused, and the
-    product identities of paper-regression.
+    the sums of a verify whose pairing certificate is refused.
 
     With c_i = s_i / t_i the exponent of f_i, theta^k(f_i) g_i has the
     body ((c_i + theta)^k phi_i) psi_i, whose coefficient n before the
@@ -257,8 +260,8 @@ def bilinear_sum_table(p, N):
     """
     r = p.r
     weights = duality_weights(p)
-    primal = solution_basis(p, N, "primal").entries
-    dual = solution_basis(p, N, "dual").entries
+    primal = solution_basis(p, N, "primal")
+    dual = solution_basis(p, N, "dual")
     pairs = [(f.body, g.body) for f, g in zip(primal, dual)]
     # w_i (c_i + n)^k = (w_i / t_i^k) powers[k][n] with c_i = s_i / t_i
     terms = []
@@ -339,20 +342,16 @@ def closed_form_m_r3(p):
 def verify_euler_identity(a1, a2, b1, N):
     """Two classical order-2 checks at the given parameters, both on the
     kernel verify uses: the quadratic transformation
-    F(a,b;c;z) = (1-z)^{c-a-b} F(c-a,c-b;c;z), as one kernel product
-    prefactor * right with a unit scale, and the four-product identity
-    f_1 g_1 = f_0 g_0, which is the (0,0) cell of the bilinear sum table
-    (at r = 2 the weights are w_1 = -w_0).
-
-    The kernel and integer_vector both give the canonical pair (v, d) of
-    the reduced coefficients over their lcm, so == holds exactly when
-    prefactor * right = left through z^N."""
+    F(a,b;c;z) = (1-z)^{c-a-b} F(c-a,c-b;c;z), one kernel product
+    prefactor * right with a unit scale against integer_vector(left), both
+    canonical, so equal exactly when the series agree through z^N; and
+    the four-product identity f_1 g_1 = f_0 g_0 (product_sum)."""
     a1, a2, b1 = rat(a1), rat(a2), rat(b1)
     left = hypergeometric_body([a1, a2], [b1], N)
     right = hypergeometric_body([b1 - a1, b1 - a2], [b1], N)
     prefactor = hypergeometric_body([a1 + a2 - b1], [], N)  # (1-z)^{c-a-b}
     [transform] = bilinear_combinations([(prefactor, right)], [[(1, [1] * (N + 1))]])
-    product, _ = bilinear_sum_table(HGParams.make([a1, a2], [b1]), N)[0][0]
+    product, _ = product_sum(sys.modules[__name__], HGParams.make([a1, a2], [b1]), N)
     cells = (
         CellResult((0, 0), transform == integer_vector(left)),
         CellResult((0, 1), not any(product)),

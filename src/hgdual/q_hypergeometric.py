@@ -34,10 +34,10 @@ from .skew_operators import (
     QSHIFT,
     CellResult,
     SkewOperator,
-    SolutionBasis,
     TaggedSeries,
     VerificationReport,
     matrix_invert,
+    product_sum,
     psi_q_matrix,
     q_dual_operator,
     verify_duality,
@@ -181,10 +181,10 @@ def _shifted(q, N):
 
 
 def q_solution_basis(p, N, which="primal"):
-    """Primal entry i carries the shift eigenvalue q/b_i and the body
-    parameters (q a_k/b_i ; q b_j/b_i) over all j, where j = i gives the
-    q-factorial q; the dual basis is the primal basis of p.dual() in the
-    variable rho*z, rho = argument_rescale(p)."""
+    """The basis as a tuple of tagged series. Primal entry i carries the
+    shift eigenvalue q/b_i and the body parameters (q a_k/b_i ; q b_j/b_i)
+    over all j, where j = i gives the q-factorial q; the dual basis is the
+    primal basis of p.dual() in the variable rho*z, rho = argument_rescale(p)."""
     if which not in ("primal", "dual"):
         raise ValueError("which must be 'primal' or 'dual'")
     q, rho = p.q, Q(1)
@@ -196,7 +196,7 @@ def q_solution_basis(p, N, which="primal"):
         upper = [q * x / bi for x in p.a]
         body = term_ratio_series(upper, [q * x / bi for x in p.b], N, factor, rho)
         entries.append(TaggedSeries(QSHIFT, q / bi, body, q))
-    return SolutionBasis(tuple(entries))
+    return tuple(entries)
 
 
 def q_c_constants(p):
@@ -236,8 +236,7 @@ def superdiagonal_entry(p, k):
 def q_bilinear_sum_table(p, N):
     """Every sum S_kl = sum_i w_i Delta^k(f_i) Delta^l(g_i), 0 <= k, l < r,
     through z^N, as integer vectors (v, d): the sums of a verify whose
-    pairing certificate is refused, and the product identity of
-    paper-regression.
+    pairing certificate is refused.
 
     With mu_i = q/b_i, the pair product is
     Delta^k f_i Delta^l g_i = mu_i^(k-l) phi_i(q^k z) psi_i(q^l z), so cell
@@ -250,8 +249,8 @@ def q_bilinear_sum_table(p, N):
     """
     r, q = p.r, p.q
     weights = q_duality_weights(p)
-    primal = q_solution_basis(p, N, "primal").entries
-    dual = q_solution_basis(p, N, "dual").entries
+    primal = q_solution_basis(p, N, "primal")
+    dual = q_solution_basis(p, N, "dual")
     pairs = [(f.body, g.body) for f, g in zip(primal, dual)]
     outputs = []
     for e in range(1 - r, r):
@@ -313,10 +312,9 @@ def closed_form_mq_r3(p):
 
 def verify_heine_identity(a1, a2, b1, q, N):
     """The r=2 four-product identity f_1 g_1 = f_0 g_0 of the primal and
-    dual solution bodies, which is the (0,0) cell of the bilinear sum table
-    (at r = 2 the weights are w_1 = -w_0)."""
+    dual solution bodies (skew_operators.product_sum)."""
     p = QHGParams.make(q, [a1, a2], [b1])
-    product, _ = q_bilinear_sum_table(p, N)[0][0]
+    product, _ = product_sum(sys.modules[__name__], p, N)
     return VerificationReport((CellResult((0, 0), not any(product)),))
 
 

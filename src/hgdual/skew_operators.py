@@ -22,6 +22,7 @@ from .exact_algebra import (
     Polynomial,
     Q,
     RationalFunction,
+    bilinear_combinations,
     integer_first_mismatch,
     is_integer,
     rat,
@@ -133,14 +134,6 @@ class TaggedSeries:
 
     def __repr__(self):
         return "z^[%s] * %r" % (self.offset, self.body)
-
-
-@dataclass(frozen=True)
-class SolutionBasis:
-    """The primal or dual solution basis of one parameter tuple, as tagged
-    series."""
-
-    entries: tuple
 
 
 def dual_operator(op):
@@ -384,10 +377,10 @@ def annihilated(op, entries):
     Coefficient n of L(z^c phi) / z^c is phi_n P0(n) + phi_(n-1) P1(n-1),
     where P0(n) = sum_j alpha_j x_n^j and P1(n) = sum_j beta_j x_n^j at the
     eigenvalue x_n of z^(c+n) under theta (c + n) resp. Delta (mu q^n).
-    Each must vanish for n = 0..N, phi_(-1) = 0. Where P0(n) != 0 that says
-    phi_n = phi_(n-1) R with R = -P1(n-1) / P0(n): P0 and P1 are formed
-    over the integers, and the product by the small R reduces the tall
-    phi_(n-1) by gcds with the parts of R only.
+    Each must vanish for n = 0..N, phi_(-1) = 0. Over the integers, with
+    P0(n) = p0(n) / (e w_n), P1 likewise and phi_n = y_n / (v_0 ... v_n) as
+    stored, that is y_n p0(n) w_(n-1) = -y_(n-1) v_n p1(n-1) w_n: it reads
+    every stored numerator and step, by short products and no gcd.
     """
     if any(a.degree > 1 for a in op.coeffs):
         return False
@@ -398,19 +391,16 @@ def annihilated(op, entries):
         s, t = int(f.offset.numerator), int(f.offset.denominator)
         q = f.q or 1
         qn, qd = int(q.numerator), int(q.denominator)
-        prev, p1, w1 = 0, 0, 1  # phi_(n-1), and P1(n-1) = p1 / (e w1)
-        for n, c in enumerate(f.body.coeffs):
+        prev, p1, w1 = 0, 0, 1  # y_(n-1), p1(n-1) and w_(n-1)
+        for n, (y, v) in enumerate(zip(f.body.nums, f.body.steps)):
             xn, xd = (s + n * t, t) if f.mode == THETA else (s * qn**n, t * qd**n)
             p0, q1, w = 0, 0, 1
             for a, b in zip(alpha, beta):  # Horner in xn / xd, times w = xd^r
                 p0, q1, w = p0 * xn + a * w, q1 * xn + b * w, w * xd
             w //= xd
-            if p0 == 0:
-                if prev and p1:
-                    return False
-            elif c != prev * Q(-p1 * w, p0 * w1):
+            if y * (p0 * w1) != prev * (-v * p1 * w):
                 return False
-            prev, p1, w1 = c, q1, w
+            prev, p1, w1 = y, q1, w
     return True
 
 
@@ -474,7 +464,9 @@ def pairing_constants(psi, primal, dual, constants, N):
                     for k, row in enumerate(at_zero)
                     for l, e in enumerate(row)
                 )
-                if f.body.coeffs[0] * g.body.coeffs[0] * total != c:
+                # phi_i(0) psi_i(0) total = c, over the stored steps v_0
+                num = f.body.nums[0] * g.body.nums[0] * total
+                if num != c * f.body.steps[0] * g.body.steps[0]:
                     return False
             elif f.mode == THETA:
                 e = g.offset + f.offset
@@ -513,8 +505,8 @@ def pairing_certifies(family, p, N, psi):
     """
     op = family.operator(p)
     dual_op = family.dual_operator(op)
-    primal = family.solution_basis(p, N, "primal").entries
-    dual = family.solution_basis(p, N, "dual").entries
+    primal = family.solution_basis(p, N, "primal")
+    dual = family.solution_basis(p, N, "dual")
     return (
         annihilated(op, primal)
         and annihilated(dual_op, dual)
@@ -531,10 +523,11 @@ def _reduced(t, d):
     return [[x // g for x in row] for row in t], d // g
 
 
-def inverse_series(psi, N):
-    """The expansion of Psi^(-1) through z^N from Psi = P0 + P1 z alone, as
-    a table of integer vectors (v, d), or None when an entry of Psi has
-    degree above 1 or P0 is singular.
+def inverse_series(psi):
+    """The expansion of Psi^(-1) from Psi = P0 + P1 z alone, or None when
+    an entry of Psi has degree above 1 or P0 is singular: a function of N
+    that gives its table of integer vectors (v, d) through z^N and keeps
+    its terms, so that a higher N extends them.
 
     Its coefficients are S_0 = P0^(-1) and S_n = B S_(n-1) with
     B = -P0^(-1) P1, both read from one elimination on [P0 | 1 | -P1], not
@@ -564,15 +557,32 @@ def inverse_series(psi, N):
     e = lcm(*(int(x.denominator) for row in rows for x in row[r:]))
     step = [[int(x * e) for x in row[2 * r :]] for row in rows]
     terms = [_reduced([[int(x * e) for x in row[r : 2 * r]] for row in rows], e)]
-    for _ in range(N):
-        t, d = terms[-1]
-        product = [[sum(map(mul, s, col)) for col in zip(*t)] for s in step]
-        terms.append(_reduced(product, d * e))
-    den = lcm(*(d for _, d in terms))
-    return [
-        [([t[k][l] * (den // d) for t, d in terms], den) for l in range(r)]
-        for k in range(r)
-    ]
+
+    def through(N):
+        while len(terms) <= N:
+            t, d = terms[-1]
+            product = [[sum(map(mul, s, col)) for col in zip(*t)] for s in step]
+            terms.append(_reduced(product, d * e))
+        head = terms[: N + 1]
+        den = lcm(*(d for _, d in head))
+        return [
+            [([t[k][l] * (den // d) for t, d in head], den) for l in range(r)]
+            for k in range(r)
+        ]
+
+    return through
+
+
+def product_sum(family, p, N):
+    """sum_i f_i g_i / C_i through z^N as an integer vector (v, d), one
+    kernel output with unit scales. At r = 2, C_1 = -C_0, so it is zero
+    exactly when f_1 g_1 = f_0 g_0."""
+    primal = family.solution_basis(p, N, "primal")
+    dual = family.solution_basis(p, N, "dual")
+    pairs = [(f.body, g.body) for f, g in zip(primal, dual)]
+    terms = [(1 / c, [1] * (N + 1)) for c in family.c_constants(p)]
+    [total] = bilinear_combinations(pairs, [terms])
+    return total
 
 
 def minimum_order(r):
@@ -591,7 +601,7 @@ def verify_duality(family, p, N):
        (inverse_series): every cell passes, and no sum is formed.
     2. pairing_certifies holds, but a cell fails against that head:
        check_cells reads the sums from the series of Psi^(-1) through z^N,
-       with no series product.
+       the head's terms extended, with no series product.
     3. pairing_certifies refuses, or inverse_series finds no expansion:
        the kernel forms the sums (family.bilinear_sum_table), and
        check_cells reads them.
@@ -619,12 +629,12 @@ def verify_duality(family, p, N):
     structure = partial(family.structure_ok, p)
     psi, sums = family.psi(family.operator(p)), None
     if pairing_certifies(family, p, N, psi):
-        head = inverse_series(psi, 2 * p.r + 1)
-        if head is not None:
-            report = check_cells(m, head, structure)
+        series = inverse_series(psi)
+        if series is not None:
+            report = check_cells(m, series(2 * p.r + 1), structure)
             if report.passed:
                 return report
-            sums = inverse_series(psi, N)
+            sums = series(N)
     if sums is None:
         sums = family.bilinear_sum_table(p, N)
     return check_cells(m, sums, structure)

@@ -1,7 +1,9 @@
 """The direct definitions the tests compare the package with. No command
 runs any of them, so they live here and not in src/hgdual/: Euclid over Q
 and the normal form of a RationalFunction with any denominator (reduced),
-Fraction arithmetic on TruncatedSeries, field arithmetic on
+the rational coefficients of a TruncatedSeries and the series of given
+ones over prefix-lcm steps, the Fraction term-ratio recurrence, Fraction
+arithmetic on TruncatedSeries, field arithmetic on
 RationalFunction, rational reconstruction, the action of an operator and
 the pairings and Wronskians on tagged series, the r^3 bilinear sum, the
 failing cells of a report, the general determinant and inverse, the
@@ -10,7 +12,8 @@ dual bases. Each is a free function on the package's values."""
 
 import operator
 from functools import reduce
-from itertools import permutations
+from itertools import accumulate, permutations
+from math import gcd
 
 from hgdual.exact_algebra import (
     PoleAtOrigin,
@@ -20,13 +23,15 @@ from hgdual.exact_algebra import (
     TruncatedSeries,
     rat,
 )
-from hgdual.hypergeometric import hypergeometric_body, term_ratio_series
+from hgdual.hypergeometric import DegenerateParameters, hypergeometric_body
+from hgdual.hypergeometric import term_ratio_series
 from hgdual.q_hypergeometric import _shifted, argument_rescale
 from hgdual.skew_operators import (
     THETA,
     SkewOperator,
     TaggedSeries,
     _odd,
+    inverse_series,
     psi_matrix,
     psi_q_matrix,
 )
@@ -98,28 +103,71 @@ def reduced(num, den):
     return f
 
 
-# -- TruncatedSeries arithmetic: a binary operation keeps the lower order
+# -- TruncatedSeries as rational coefficients, and its arithmetic: a binary
+# operation keeps the lower order
+
+
+def coefficients(s):
+    """The rational coefficients nums[n] / (steps[0] ... steps[n]) of the
+    TruncatedSeries s, reduced."""
+    return tuple(map(Q, s.nums, accumulate(s.steps, operator.mul)))
+
+
+def series(coeffs):
+    """The TruncatedSeries with the given rational coefficients, over the
+    prefix lcms L(n) of their reduced denominators: steps[n] is
+    L(n) / L(n-1), the steps the graded lifts took before they read the
+    stored ones."""
+    nums, steps, prefix = [], [], 1
+    for c in map(rat, coeffs):
+        den = int(c.denominator)
+        step = den // gcd(prefix, den)
+        prefix *= step
+        nums.append(int(c.numerator) * (prefix // den))
+        steps.append(step)
+    return TruncatedSeries(nums, steps)
+
+
+def term_ratio_coefficients(upper, lower, N, factor, scale=Q(1)):
+    """The Fraction recurrence that term_ratio_series keeps as integer
+    graded data: c_0 = 1 and c_{n+1} = c_n * Q(num, den), num/den the
+    product of the step's factors, one rational product per step."""
+    up = [(int(x.numerator), int(x.denominator)) for x in upper]
+    low = [(int(x.numerator), int(x.denominator)) for x in lower]
+    coeffs = [Q(1)]
+    for n in range(N):
+        num, den = int(scale.numerator), int(scale.denominator)
+        for x in up:
+            fn, fd = factor(x, n)
+            num, den = num * fn, den * fd
+        for x in low:
+            fn, fd = factor(x, n)
+            num, den = num * fd, den * fn
+        if not den:
+            raise DegenerateParameters("a lower factor vanishes at n = %d" % n)
+        coeffs.append(coeffs[-1] * Q(num, den))
+    return tuple(coeffs)
 
 
 def zero(order):
-    return TruncatedSeries([0] * (order + 1))
+    return series([0] * (order + 1))
 
 
 def one(order):
-    return TruncatedSeries([1] + [0] * order)
+    return series([1] + [0] * order)
 
 
 def series_of_integer_vector(v, d):
     """The TruncatedSeries with coefficients v[n] / d."""
-    return TruncatedSeries([Q(x, d) for x in v])
+    return series([Q(x, d) for x in v])
 
 
 def add(a, b):
-    return TruncatedSeries([x + y for x, y in zip(a.coeffs, b.coeffs)])
+    return series([x + y for x, y in zip(coefficients(a), coefficients(b))])
 
 
 def sub(a, b):
-    return TruncatedSeries([x - y for x, y in zip(a.coeffs, b.coeffs)])
+    return series([x - y for x, y in zip(coefficients(a), coefficients(b))])
 
 
 def scale(s, c):
@@ -127,29 +175,30 @@ def scale(s, c):
     if isinstance(s, TaggedSeries):
         return TaggedSeries(s.mode, s.offset, scale(s.body, c), s.q)
     c = rat(c)
-    return TruncatedSeries([c * x for x in s.coeffs])
+    return series([c * x for x in coefficients(s)])
 
 
 def mul(a, b):
     """The Cauchy product a * b."""
-    n = min(len(a.coeffs), len(b.coeffs))
+    a, b = coefficients(a), coefficients(b)
+    n = min(len(a), len(b))
     out = [Q(0)] * n
-    for i, x in enumerate(a.coeffs[:n]):
+    for i, x in enumerate(a[:n]):
         if x != 0:
-            for j, y in enumerate(b.coeffs[: n - i]):
+            for j, y in enumerate(b[: n - i]):
                 out[i + j] += x * y
-    return TruncatedSeries(out)
+    return series(out)
 
 
 def theta(s):
     """The Euler operator: the coefficient of z^n multiplies by n."""
-    return TruncatedSeries([n * c for n, c in enumerate(s.coeffs)])
+    return series([n * c for n, c in enumerate(coefficients(s))])
 
 
 def scale_arg(s, c):
     """s(c*z): the coefficient of z^n multiplies by c^n."""
     c = rat(c)
-    return TruncatedSeries([x * c**n for n, x in enumerate(s.coeffs)])
+    return series([x * c**n for n, x in enumerate(coefficients(s))])
 
 
 def evaluate(p, x):
@@ -162,18 +211,18 @@ def evaluate(p, x):
 
 def series_invert(a):
     """Multiplicative inverse: a * result = 1 through the truncation order."""
-    c0 = a.coeffs[0]
-    if c0 == 0:
+    a = coefficients(a)
+    if a[0] == 0:
         raise ZeroDivisionError("series with zero constant term is not invertible")
-    out = [1 / c0]
-    for n in range(1, a.order + 1):
-        out.append(-out[0] * sum(a.coeffs[k] * out[n - k] for k in range(1, n + 1)))
-    return TruncatedSeries(out)
+    out = [1 / a[0]]
+    for n in range(1, len(a)):
+        out.append(-out[0] * sum(a[k] * out[n - k] for k in range(1, n + 1)))
+    return series(out)
 
 
 def series_of_poly(p, order):
     """The Polynomial p as a series through z^order."""
-    return TruncatedSeries([p.coefficient(i) for i in range(order + 1)])
+    return series([p.coefficient(i) for i in range(order + 1)])
 
 
 def series_of_ratfunc(f, order):
@@ -223,7 +272,7 @@ def rational_reconstruct(a, num_deg, den_deg):
     upward and the first fully-certified one wins. Raises ReconstructionFailed
     when nothing within the bounds matches.
     """
-    order = a.order
+    order, coeffs = a.order, coefficients(a)
     if order < num_deg + den_deg + 1:
         raise ValueError(
             "series order %d too small for bounds (%d, %d); need >= %d"
@@ -233,7 +282,7 @@ def rational_reconstruct(a, num_deg, den_deg):
         # q has d+1 unknown coefficients; require every known coefficient of
         # q*a beyond z^num_deg to vanish (overdetermined on purpose)
         rows = [
-            [a.coeffs[k - j] if k - j >= 0 else Q(0) for j in range(d + 1)]
+            [coeffs[k - j] if k - j >= 0 else Q(0) for j in range(d + 1)]
             for k in range(num_deg + 1, order + 1)
         ]
         qvec = _kernel_vector(rows, d + 1)
@@ -243,7 +292,7 @@ def rational_reconstruct(a, num_deg, den_deg):
         if den.is_zero:
             continue
         prod = mul(series_of_poly(den, order), a)
-        f = reduced(Polynomial(prod.coeffs[: num_deg + 1]), den)
+        f = reduced(Polynomial(coefficients(prod)[: num_deg + 1]), den)
         if f.den.coefficient(0) == 0 or f.num.degree > num_deg:
             continue
         if series_of_ratfunc(f, order) == a:
@@ -288,6 +337,14 @@ def rf_theta(f):
 def rf_scale_arg(f, c):
     """Substitute z -> c*z."""
     return reduced(f.num.scale_arg(c), f.den.scale_arg(c))
+
+
+def inverse_table(psi, N):
+    """The series of Psi^(-1) through z^N as the table of integer vectors
+    that check_cells reads, from a fresh inverse_series, or None where it
+    finds no expansion."""
+    series = inverse_series(psi)
+    return series and series(N)
 
 
 def failures(report):
@@ -383,7 +440,7 @@ def omega_q_pairing(op, g, f):
 
 def annihilates(op, s, guard):
     """True when op(s) vanishes on every coefficient z^0..z^{order-guard}."""
-    out = apply(op, s).body.coeffs
+    out = coefficients(apply(op, s).body)
     return all(c == 0 for c in out[: len(out) - guard])
 
 

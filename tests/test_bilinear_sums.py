@@ -26,11 +26,9 @@ from hgdual.hypergeometric import DegenerateParameters
 from hgdual.hypergeometric import sample_params as sample_theta_params
 from hgdual.q_hypergeometric import sample_params as sample_qshift_params
 from hgdual.skew_operators import (
-    SolutionBasis,
     TaggedSeries,
     annihilated,
     check_cells,
-    inverse_series,
     lagrange_identity,
     minimum_order,
     pairing_certifies,
@@ -54,16 +52,19 @@ from oracles import (
     add,
     advance,
     bilinear_sum,
+    coefficients,
     failures,
     gauss_jordan_invert,
+    inverse_table,
     mul,
     ratfunc,
     reduced,
     rf_add,
     scale,
     scale_arg,
-    series_of_poly,
+    series,
     series_of_integer_vector,
+    series_of_poly,
     series_of_ratfunc,
     sub,
     theta,
@@ -75,14 +76,14 @@ nonzero = rationals.filter(lambda x: x != 0)
 
 
 def _series(length):
-    return st.lists(rationals, min_size=length, max_size=length).map(TruncatedSeries)
+    return st.lists(rationals, min_size=length, max_size=length).map(series)
 
 
 @given(_series(7))
 def test_integer_vector_round_trip(s):
     v, d = integer_vector(s)
     assert all(isinstance(x, int) for x in v)
-    assert all((c * d).denominator == 1 for c in s.coeffs)
+    assert all((c * d).denominator == 1 for c in coefficients(s))
     assert series_of_integer_vector(v, d) == s
 
 
@@ -108,9 +109,7 @@ kernel_coeffs = st.one_of(
 
 
 def _kernel_series(length):
-    return st.lists(kernel_coeffs, min_size=length, max_size=length).map(
-        TruncatedSeries
-    )
+    return st.lists(kernel_coeffs, min_size=length, max_size=length).map(series)
 
 
 def _expected_combinations(pairs, outputs):
@@ -120,7 +119,7 @@ def _expected_combinations(pairs, outputs):
     for row in outputs:
         expected = zero(order)
         for (a, b), (w, s) in zip(pairs, row):
-            scaled = TruncatedSeries([x * y for x, y in zip(s.coeffs, a.coeffs)])
+            scaled = series([x * y for x, y in zip(coefficients(s), coefficients(a))])
             expected = add(expected, scale(mul(scaled, b), w))
         result.append(expected)
     return result
@@ -156,16 +155,16 @@ def test_bilinear_combinations_match_series_arithmetic(pairs, outputs):
 
 def test_prefix_lcm_constant_over_several_steps():
     # denominators 6, 2, 3, 6, 1 all divide 6; then 4 steps the lcm to 12
-    a = TruncatedSeries([Q(1, 6), Q(1, 2), Q(2, 3), Q(5, 6), Q(3), Q(1, 4)])
+    a = series([Q(1, 6), Q(1, 2), Q(2, 3), Q(5, 6), Q(3), Q(1, 4)])
     lifts = [(list(x), step) for x, step in _graded_lifts(a, 6)]
     assert [step for _, step in lifts] == [6, 1, 1, 1, 1, 2]
     prefix = 1
     for m, (x, step) in enumerate(lifts):
         prefix *= step
         assert prefix == (6 if m < 5 else 12)
-        assert x == [int(c * prefix) for c in a.coeffs[: m + 1]]
-    b = TruncatedSeries([Q(1, 5), Q(0), Q(-1, 7), Q(2), Q(0), Q(1, 3)])
-    one = TruncatedSeries([1] * 6)
+        assert x == [int(c * prefix) for c in coefficients(a)[: m + 1]]
+    b = series([Q(1, 5), Q(0), Q(-1, 7), Q(2), Q(0), Q(1, 3)])
+    one = series([1] * 6)
     outputs = [[(Q(3, 2), one)], [(Q(-1), a)]]
     got = _combine([(a, b)], outputs)
     for (v, d), expected in zip(got, _expected_combinations([(a, b)], outputs)):
@@ -174,9 +173,9 @@ def test_prefix_lcm_constant_over_several_steps():
 
 
 def test_all_zero_output():
-    a = TruncatedSeries([Q(1, 6), Q(0), Q(2, 9), Q(-1, 4)])
-    b = TruncatedSeries([Q(3, 5), Q(1, 7), Q(0), Q(5)])
-    one = TruncatedSeries([1] * 4)
+    a = series([Q(1, 6), Q(0), Q(2, 9), Q(-1, 4)])
+    b = series([Q(3, 5), Q(1, 7), Q(0), Q(5)])
+    one = series([1] * 4)
     # a zero weight, and two equal terms that cancel
     outputs = [[(Q(0), one)], [(Q(1, 3), one), (Q(-1, 3), one)]]
     assert _combine([(a, b)], outputs[:1]) == [([0] * 4, 1)]
@@ -193,8 +192,8 @@ def test_carried_denominators_are_the_prefix_lcm(pairs):
     lifts = zip(*[zip(_graded_lifts(a, 8), _graded_lifts(b, 8)) for a, b in pairs])
     for m, (_, d_m, cross) in enumerate(exact_algebra._carried(lifts, len(pairs))):
         dens = [
-            lcm(*(int(c.denominator) for c in a.coeffs[: m + 1]))
-            * lcm(*(int(c.denominator) for c in b.coeffs[: m + 1]))
+            lcm(*(int(c.denominator) for c in coefficients(a)[: m + 1]))
+            * lcm(*(int(c.denominator) for c in coefficients(b)[: m + 1]))
             for a, b in pairs
         ]
         assert d_m == lcm(*dens)
@@ -236,22 +235,22 @@ def _assert_exact(got, pairs, outputs):
 
 KERNEL_PAIRS = [
     (
-        TruncatedSeries([Q(n + 1, 3 + n % 4) for n in range(9)]),
-        TruncatedSeries([Q(2 - n, 5 + 2 * (n % 3)) for n in range(9)]),
+        series([Q(n + 1, 3 + n % 4) for n in range(9)]),
+        series([Q(2 - n, 5 + 2 * (n % 3)) for n in range(9)]),
     ),
     (
-        TruncatedSeries([Q((-1) ** n, 7 + n) for n in range(9)]),
-        TruncatedSeries([Q(n * n + 1, 2 + n % 5) for n in range(9)]),
+        series([Q((-1) ** n, 7 + n) for n in range(9)]),
+        series([Q(n * n + 1, 2 + n % 5) for n in range(9)]),
     ),
 ]
 KERNEL_OUTPUTS = [
     [
-        (Q(1, 3), TruncatedSeries([n + 1 for n in range(9)])),
-        (Q(-2), TruncatedSeries([1] * 9)),
+        (Q(1, 3), series([n + 1 for n in range(9)])),
+        (Q(-2), series([1] * 9)),
     ],
     [
-        (Q(5, 7), TruncatedSeries([Q(1, 2)] * 9)),
-        (Q(1), TruncatedSeries([n * n for n in range(9)])),
+        (Q(5, 7), series([Q(1, 2)] * 9)),
+        (Q(1), series([n * n for n in range(9)])),
     ],
 ]
 
@@ -260,10 +259,11 @@ KERNEL_OUTPUTS = [
 def test_two_shares_equal_serial(monkeypatch, length):
     """Two CPUs offered, at even and odd lengths: the kernel forks no
     share and its sums are exact."""
-    pairs = [tuple(TruncatedSeries(s.coeffs[:length]) for s in pair) for pair in KERNEL_PAIRS]
-    outputs = [
-        [(w, TruncatedSeries(s.coeffs[:length])) for w, s in row] for row in KERNEL_OUTPUTS
-    ]
+    def cut(s):
+        return series(coefficients(s)[:length])
+
+    pairs = [tuple(map(cut, pair)) for pair in KERNEL_PAIRS]
+    outputs = [[(w, cut(s)) for w, s in row] for row in KERNEL_OUTPUTS]
     _offer_cpus(monkeypatch, 2)
     forks = _fork_counter(monkeypatch)
     _assert_exact(_combine(pairs, outputs), pairs, outputs)
@@ -372,13 +372,13 @@ def test_serial_below_the_work_threshold(monkeypatch):
     rng = random.Random(7)
 
     def tall():
-        return TruncatedSeries(
+        return series(
             [Q(rng.getrandbits(300) - 2**299, rng.randrange(1, 10**6)) for _ in range(30)]
         )
 
     pairs = [(tall(), tall()) for _ in range(3)]
-    ones = TruncatedSeries([1] * 30)
-    steps = TruncatedSeries([n + 1 for n in range(30)])
+    ones = series([1] * 30)
+    steps = series([n + 1 for n in range(30)])
     outputs = [[(Q(k + 1, 2), steps if i == k else ones) for i in range(3)] for k in range(3)]
     _offer_cpus(monkeypatch, 4)
     forks = _fork_counter(monkeypatch)
@@ -399,9 +399,9 @@ class TestIntegerMatchesRatfunc:
 
     @pytest.mark.parametrize("n", [0, 1, 6, 12])
     def test_any_wrong_coefficient_is_found(self, n):
-        coeffs = list(series_of_ratfunc(self.F, 12).coeffs)
+        coeffs = list(coefficients(series_of_ratfunc(self.F, 12)))
         coeffs[n] += Q(1, 7)
-        v, d = integer_vector(TruncatedSeries(coeffs))
+        v, d = integer_vector(series(coeffs))
         assert integer_first_mismatch(v, d, self.F) == n
 
     def test_zero(self):
@@ -427,15 +427,15 @@ def _advance_table(entries, count):
 
 
 def _direct_theta_sums(p, N):
-    fp = _advance_table(hg.solution_basis(p, N, "primal").entries, p.r)
-    gp = _advance_table(hg.solution_basis(p, N, "dual").entries, p.r)
+    fp = _advance_table(hg.solution_basis(p, N, "primal"), p.r)
+    gp = _advance_table(hg.solution_basis(p, N, "dual"), p.r)
     w = hg.duality_weights(p)
     return [[bilinear_sum(w, fp, gp, k, l) for l in range(p.r)] for k in range(p.r)]
 
 
 def _direct_q_sums(p, N):
-    fp = _advance_table(qhg.q_solution_basis(p, N, "primal").entries, p.r)
-    gp = _advance_table(qhg.q_solution_basis(p, N, "dual").entries, p.r)
+    fp = _advance_table(qhg.q_solution_basis(p, N, "primal"), p.r)
+    gp = _advance_table(qhg.q_solution_basis(p, N, "dual"), p.r)
     w = qhg.q_duality_weights(p)
     return [[bilinear_sum(w, fp, gp, k, l) for l in range(p.r)] for k in range(p.r)]
 
@@ -492,8 +492,8 @@ def test_theta_leibniz_recurrence(ab):
     p = _generic(hg.Params.make, *ab)
     r, N = p.r, minimum_order(p.r)
     # T_kl for k = 0..2r-2, the range of the table's first column
-    fp = _advance_table(hg.solution_basis(p, N, "primal").entries, 2 * r - 1)
-    gp = _advance_table(hg.solution_basis(p, N, "dual").entries, r)
+    fp = _advance_table(hg.solution_basis(p, N, "primal"), 2 * r - 1)
+    gp = _advance_table(hg.solution_basis(p, N, "dual"), r)
     w = hg.duality_weights(p)
     t = [[bilinear_sum(w, fp, gp, k, l) for l in range(r)] for k in range(2 * r - 1)]
     for k in range(2 * r - 2):
@@ -505,8 +505,8 @@ def test_theta_leibniz_recurrence(ab):
 def _shift_sums(p, N):
     """Every shift sum E_e(w) = sum_i w_i mu_i^e phi_i(q^e w) psi_i(w),
     e = 1-r..r-1, in Fraction series arithmetic."""
-    primal = qhg.solution_basis(p, N, "primal").entries
-    dual = qhg.solution_basis(p, N, "dual").entries
+    primal = qhg.solution_basis(p, N, "primal")
+    dual = qhg.solution_basis(p, N, "dual")
     w = qhg.q_duality_weights(p)
     sums = {}
     for e in range(1 - p.r, p.r):
@@ -613,7 +613,7 @@ def test_off_operator_basis_takes_all_outputs(monkeypatch, family, where):
     p = module.sample_params(random.Random(13), r, *base)
     n = {"first": 0, "middle": N // 2, "last": N}[where]
     _perturb_basis(monkeypatch, module, name, ("primal", 1, n, Q(1)))
-    primal = getattr(module, name)(p, N, "primal").entries
+    primal = getattr(module, name)(p, N, "primal")
     assert not annihilated(module.operator(p), primal)
     counts = _kernel_outputs(monkeypatch, module)
     report = module.verify(p, N)
@@ -649,7 +649,7 @@ def _inverts(m, psi):
     """Whether m = psi^(-1), decided as verify_duality and matrix --check
     decide it: check_cells against the head of the series of psi^(-1),
     with every entry accepted."""
-    head = inverse_series(psi, 2 * len(psi) + 1)
+    head = inverse_table(psi, 2 * len(psi) + 1)
     return head is not None and check_cells(m, head, lambda k, l, e: True).passed
 
 
@@ -659,8 +659,8 @@ def _five_checks(module, p, N, m):
     op = module.operator(p)
     dual_op = module.dual_operator(op)
     psi = module.psi(op)
-    primal = module.solution_basis(p, N, "primal").entries
-    dual = module.solution_basis(p, N, "dual").entries
+    primal = module.solution_basis(p, N, "primal")
+    dual = module.solution_basis(p, N, "dual")
     return [
         annihilated(op, primal),
         annihilated(dual_op, dual),
@@ -781,20 +781,27 @@ def test_accepted_edge_parameters_never_reach_the_kernel(family, r, data):
 @pytest.mark.parametrize("which", ["primal", "dual"])
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_moved_body_coefficient_is_refused(family, which, where):
-    """Check 1 (primal) or 2 (dual) refuses a body coefficient moved by 1."""
+    """Check 1 (primal) or 2 (dual) refuses a body coefficient moved by 1,
+    and a stored numerator y_n or step v_n moved by 1. The step v_0 divides
+    the whole body, which solves L f = 0 whatever its scale: check 4
+    refuses that one alone."""
     module, name, base = FAMILIES[family]
     check = ["primal", "dual"].index(which)
     for r in (2, 3, 4):
         p = module.sample_params(random.Random(3), r, *base)
         N = minimum_order(r)
         n = {"first": 0, "middle": N // 2, "last": N}[where]
-        with pytest.MonkeyPatch.context() as mp:
-            _perturb_basis(mp, module, name, (which, 1, n, Q(1)))
-            verdicts = _five_checks(module, p, N, module.duality_matrix(p))
-            assert not verdicts[check] and verdicts[1 - check], r
-            assert verdicts[2] and verdicts[4], r
-            _assert_refused(module, p, N)
-            assert not module.verify(p, N).passed
+        for part in ("coefficient", "numerator", "step"):
+            with pytest.MonkeyPatch.context() as mp:
+                _perturb_basis(mp, module, name, (which, 1, n, 1, part))
+                verdicts = _five_checks(module, p, N, module.duality_matrix(p))
+                if (part, n) == ("step", 0):
+                    assert verdicts == [True, True, True, False, True], r
+                else:
+                    assert not verdicts[check] and verdicts[1 - check], (r, part)
+                    assert verdicts[2] and verdicts[4], (r, part)
+                _assert_refused(module, p, N)
+                assert not module.verify(p, N).passed
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -867,14 +874,14 @@ def test_mispaired_or_scaled_dual_basis_is_refused(monkeypatch, family, change):
     basis = getattr(module, name)
 
     def changed(p, N, which="primal"):
-        entries = list(basis(p, N, which).entries)
+        entries = list(basis(p, N, which))
         if which == "dual" and change == "swapped":
             entries[0], entries[1] = entries[1], entries[0]
         elif which == "dual":
             e = entries[0]
-            body = TruncatedSeries([2 * c for c in e.body.coeffs])
+            body = series([2 * c for c in coefficients(e.body)])
             entries[0] = TaggedSeries(e.mode, e.offset, body, e.q)
-        return SolutionBasis(tuple(entries))
+        return tuple(entries)
 
     monkeypatch.setattr(module, name, changed)
     monkeypatch.setattr(module, "solution_basis", changed)
@@ -889,7 +896,7 @@ def test_mispaired_or_scaled_dual_basis_is_refused(monkeypatch, family, change):
 
 def _diagonal_constant(psi, f, g):
     """phi(0) psi(0) sum_kl Psi_kl(0) y^k x^l, for f = z^x phi, g = z^y psi."""
-    return f.body.coeffs[0] * g.body.coeffs[0] * sum(
+    return coefficients(f.body)[0] * coefficients(g.body)[0] * sum(
         e.coefficient(0) * g.offset**k * f.offset**l
         for k, row in enumerate(psi)
         for l, e in enumerate(row)
@@ -907,8 +914,8 @@ def test_resonant_offsets_are_refused(family, n):
     p = module.sample_params(random.Random(3), 2, *base)
     N = minimum_order(2)
     psi = module.psi(module.operator(p))
-    f = module.solution_basis(p, N, "primal").entries[0]
-    g = module.solution_basis(p, N, "dual").entries[0]
+    f = module.solution_basis(p, N, "primal")[0]
+    g = module.solution_basis(p, N, "dual")[0]
     offset = f.offset - n if module is hg else f.offset / p.q**n
     moved = TaggedSeries(f.mode, offset, f.body, f.q)
     constants = [_diagonal_constant(psi, f, g), _diagonal_constant(psi, moved, g)]
@@ -937,11 +944,11 @@ def _assert_single_failure(report, cell, expected, direct, r):
     assert [c.cell for c in failures(report)] == [cell]
     failure = failures(report)[0]
     assert failure.expected == expected
-    assert failure.got_prefix == direct.coeffs[: 2 * r + 2]
+    assert failure.got_prefix == coefficients(direct)[: 2 * r + 2]
     assert all(isinstance(c, Q) for c in failure.got_prefix)
-    expansion = series_of_ratfunc(expected, direct.order).coeffs
+    expansion = coefficients(series_of_ratfunc(expected, direct.order))
     assert failure.first_diff == next(
-        n for n, (x, y) in enumerate(zip(direct.coeffs, expansion)) if x != y
+        n for n, (x, y) in enumerate(zip(coefficients(direct), expansion)) if x != y
     )
     assert all(
         c.expected is None and c.got_prefix is None and c.first_diff is None
@@ -995,28 +1002,37 @@ PRODUCT_IDENTITIES = {
 def _four_products(basis, p, N):
     """The product identity in Fraction series arithmetic: the oracle of
     the (0,0) cell."""
-    f = basis(p, N, "primal").entries
-    g = basis(p, N, "dual").entries
+    f = basis(p, N, "primal")
+    g = basis(p, N, "dual")
     return mul(f[1].body, g[1].body) == mul(f[0].body, g[0].body)
 
 
 def _perturb_basis(mp, module, name, change):
     """Replace module.name, and the family surface name solution_basis, by
     a basis function that adds delta to coefficient n of body i of the
-    basis `which`, change = (which, i, n, delta)."""
-    which, i, n, delta = change
+    basis `which`, change = (which, i, n, delta), or with a fifth entry
+    "numerator" or "step" to the stored numerator y_n or step v_n."""
+    which, i, n, delta, part = (*change, "coefficient")[:5]
     original = getattr(module, name)
 
     def perturbed(p, N, kind="primal"):
         basis = original(p, N, kind)
         if kind != which:
             return basis
-        entries = list(basis.entries)
+        entries = list(basis)
         e = entries[i]
-        body = list(e.body.coeffs)
-        body[n] += delta
-        entries[i] = TaggedSeries(e.mode, e.offset, TruncatedSeries(body), e.q)
-        return SolutionBasis(tuple(entries))
+        moved = {
+            "coefficient": list(coefficients(e.body)),
+            "numerator": list(e.body.nums),
+            "step": list(e.body.steps),
+        }
+        moved[part][n] += delta
+        if part == "coefficient":
+            body = series(moved[part])
+        else:
+            body = TruncatedSeries(moved["numerator"], moved["step"])
+        entries[i] = TaggedSeries(e.mode, e.offset, body, e.q)
+        return tuple(entries)
 
     mp.setattr(module, name, perturbed)
     mp.setattr(module, "solution_basis", perturbed)
@@ -1072,10 +1088,10 @@ def test_perturbed_body_fails_the_transformation_cell_only(monkeypatch, body):
 
     def perturbed(upper, lower, N):
         """The chosen body of the transformation gains z^5."""
-        series = original(upper, lower, N)
+        result = original(upper, lower, N)
         if list(upper) != EULER_BODIES[body]:
-            return series
-        return add(series, TruncatedSeries([0] * 5 + [1] + [0] * (N - 5)))
+            return result
+        return add(result, series([0] * 5 + [1] + [0] * (N - 5)))
 
     monkeypatch.setattr(hg, "hypergeometric_body", perturbed)
     report = hg.verify_euler_identity(Q(1, 2), Q(1, 3), Q(1, 5), 20)
@@ -1084,16 +1100,19 @@ def test_perturbed_body_fails_the_transformation_cell_only(monkeypatch, body):
 
 def test_paper_regression_kernel_traffic(monkeypatch):
     """paper-regression forms Euler's transformation as one product (one
-    pair, one output) and each r = 2 table in one call of 2 pairs and 3
-    outputs, five fixtures each; a passing verify forms no sum."""
+    pair, one output) and each r = 2 product identity as one output of 2
+    pairs with unit scales (skew_operators.product_sum), five fixtures
+    each; a passing verify forms no sum."""
     theta = _kernel_outputs(monkeypatch, hg)
     qshift = _kernel_outputs(monkeypatch, qhg)
+    shared = _kernel_outputs(monkeypatch, skew_operators)
     with contextlib.redirect_stdout(io.StringIO()):
         assert hgdual.cli.main(["paper-regression"]) == 0
-    assert theta == [(1, 1), (2, 3)] * 5
-    assert qshift == [(2, 3)] * 5
-    del theta[:], qshift[:]
+    assert theta == [(1, 1)] * 5
+    assert qshift == []
+    assert shared == [(2, 1)] * 10
+    del theta[:], shared[:]
     with contextlib.redirect_stdout(io.StringIO()):
         assert hgdual.cli.main(["verify", "--hg", "-r", "3", "--seed", "1"]) == 0
         assert hgdual.cli.main(["verify", "--qhg", "--q", "2/3", "-r", "3"]) == 0
-    assert theta == qshift == []
+    assert theta == qshift == shared == []

@@ -29,6 +29,7 @@ from hgdual.exact_algebra import (
     TruncatedSeries,
     rat,
 )
+from hgdual.skew_operators import minimum_order
 from oracles import ratfunc, reduced, rf_add
 
 
@@ -569,32 +570,40 @@ def test_pinned_stdout(capsys, argv, digest):
 
 # verify certifies the sums from the pairing and compares M with the first
 # 2r+2 terms of the series of Psi^{-1} (the head). When a cell fails there
-# it reads the sums from that series through z^N, and when the certificate
-# is refused it forms them in the kernel. All three paths print the same
-# bytes, on passing samples and on a failing cell.
+# it extends the same terms through z^N, with no second elimination, and
+# when the certificate is refused it forms the sums in the kernel. All
+# three paths print the same bytes, on passing samples and on a failing
+# cell. paths records each elimination ("series"), the order N of each
+# table read from it, and each kernel table.
 @pytest.mark.parametrize(
     "family, args",
     [(hg, ("--hg",)), (qhg, ("--qhg", "--q", "1/2")), (qhg, ("--qhg", "--q", "2/3"))],
     ids=["theta", "q=1/2", "q=2/3"],
 )
-@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_certified_and_kernel_paths_print_the_same_bytes(
     capsys, monkeypatch, family, args, r
 ):
     paths = []
     inverse_series = skew_operators.inverse_series
 
-    def series_of_inverse(psi, n):
-        paths.append("head" if n == 2 * r + 1 else "series")
-        return inverse_series(psi, n)
+    def series_of_inverse(psi, moved_head=False):
+        paths.append("series")
+        through = inverse_series(psi)
 
-    def refused_head(psi, n):
-        # a head that matches no M sends a passing sample on to the series
-        table = series_of_inverse(psi, n)
-        if n == 2 * r + 1:
-            v, d = table[0][0]
-            table[0][0] = ([v[0] + d, *v[1:]], d)
+        def table(n):
+            paths.append(n)
+            cells = through(n)
+            if moved_head and n == 2 * r + 1:
+                v, d = cells[0][0]
+                cells[0][0] = ([v[0] + d, *v[1:]], d)
+            return cells
+
         return table
+
+    def refused_head(psi):
+        # a head that matches no M sends a passing sample on to the series
+        return series_of_inverse(psi, moved_head=True)
 
     def kernel_table(*a):
         paths.append("kernel")
@@ -619,13 +628,14 @@ def test_certified_and_kernel_paths_print_the_same_bytes(
     def refused():
         return outputs(["kernel"], pairing_certifies=lambda *args: False)
 
-    passing = outputs(["head"])
+    head, whole = 2 * r + 1, minimum_order(r)
+    passing = outputs(["series", head])
     assert [code for code, _, _ in passing] == [EXIT_PASS] * 2
-    assert outputs(["head", "series"], inverse_series=refused_head) == passing
+    assert outputs(["series", head, whole], inverse_series=refused_head) == passing
     assert refused() == passing
     # every cell but (0, 0) passes
     monkeypatch.setattr(family, "structure_ok", lambda p, k, l, e: (k, l) != (0, 0))
-    failing = outputs(["head", "series"])
+    failing = outputs(["series", head, whole])
     assert [code for code, _, _ in failing] == [EXIT_MISMATCH] * 2
     assert refused() == failing
 

@@ -11,10 +11,12 @@ from hgdual.exact_algebra import (
     PoleAtOrigin,
     RationalFunction,
     TruncatedSeries,
+    integer_vector,
 )
 from oracles import (
     ReconstructionFailed,
     add,
+    coefficients,
     evaluate,
     mul,
     one,
@@ -30,6 +32,7 @@ from oracles import (
     rf_sub,
     rf_theta,
     scale_arg,
+    series,
     series_invert,
     series_of_ratfunc,
     sub,
@@ -43,7 +46,7 @@ def P(*coeffs):
 
 
 def S(*coeffs):
-    return TruncatedSeries(coeffs)
+    return series(coeffs)
 
 
 rationals = st.builds(
@@ -177,8 +180,8 @@ class TestTruncatedSeries:
         assert mul(S(1, 2, 3), S(1, 2, 3)) == S(1, 4, 10)
 
     def test_min_order_propagation(self):
-        a = TruncatedSeries([1, 1, 1, 1])
-        b = TruncatedSeries([1, 1])
+        a = series([1, 1, 1, 1])
+        b = series([1, 1])
         assert add(a, b).order == 1
         assert mul(a, b).order == 1
 
@@ -186,6 +189,23 @@ class TestTruncatedSeries:
         a = S(7, 5, 3)
         assert theta(a) == S(0, 5, 6)
         assert scale_arg(a, Q(1, 2)) == S(7, Q(5, 2), Q(3, 4))
+
+    def test_graded_forms_compare_by_value(self):
+        # 1/2, 3/(2*3), -10/(2*3*5): the steps are not the prefix lcms
+        built = TruncatedSeries([1, 3, -10], [2, 3, 5])
+        assert coefficients(built) == (Q(1, 2), Q(1, 2), Q(-1, 3))
+        assert built == S(Q(1, 2), Q(1, 2), Q(-1, 3))
+        assert series(coefficients(built)).steps == (2, 1, 3)
+        assert integer_vector(built) == ([3, 3, -2], 6)
+        assert built != S(Q(1, 2), Q(1, 2), Q(1, 3))
+        assert built != S(Q(1, 2), Q(1, 2))
+
+    @pytest.mark.parametrize(
+        "nums, steps", [([], []), ([1, 2], [1]), ([1, 2], [1, 0]), ([1], [-1])]
+    )
+    def test_graded_form_needs_a_positive_step_per_numerator(self, nums, steps):
+        with pytest.raises(ValueError):
+            TruncatedSeries(nums, steps)
 
 
 class TestSeriesOfRatfunc:
@@ -242,7 +262,7 @@ class TestRationalReconstruct:
 
     def test_failure_reported(self):
         # factorial growth is not rational
-        a = TruncatedSeries([1, 1, 2, 6, 24, 120, 720])
+        a = series([1, 1, 2, 6, 24, 120, 720])
         with pytest.raises(ReconstructionFailed):
             rational_reconstruct(a, 2, 2)
 
@@ -360,7 +380,7 @@ def test_reconstruct_returns_f_exactly_within_degree_bound(num, den, r, extra):
 def test_series_invert_property(a):
     if a[0] == 0:
         return
-    s = TruncatedSeries(a)
+    s = series(a)
     assert mul(s, series_invert(s)) == one(s.order)
 
 
@@ -386,4 +406,4 @@ def test_series_against_sympy(f):
     ours = series_of_ratfunc(f, N)
     ref = sympy.series(expr, zs, 0, N + 1).removeO()
     for n in range(N + 1):
-        assert sympy.Rational(str(ours.coeffs[n])) == ref.coeff(zs, n)
+        assert sympy.Rational(str(coefficients(ours)[n])) == ref.coeff(zs, n)

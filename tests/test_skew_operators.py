@@ -16,7 +16,6 @@ from hgdual.exact_algebra import (
     Polynomial,
     Q,
     RationalFunction,
-    TruncatedSeries,
 )
 from hgdual.skew_operators import (
     QSHIFT,
@@ -39,8 +38,10 @@ from oracles import (
     OffsetMismatch,
     apply,
     bareiss_det,
+    coefficients,
     entrywise_mul,
     gauss_jordan_invert,
+    inverse_table,
     matrix_identity,
     matrix_mul,
     omega_pairing,
@@ -52,6 +53,7 @@ from oracles import (
     rf_sub,
     rf_theta,
     scale,
+    series,
     series_of_integer_vector,
     series_of_ratfunc,
     wronskian_det,
@@ -69,7 +71,7 @@ def lifted(mat):
 
 
 def plain(coeffs, mode=THETA, q=None):
-    return TaggedSeries(mode, 0 if mode == THETA else 1, TruncatedSeries(coeffs), q)
+    return TaggedSeries(mode, 0 if mode == THETA else 1, series(coeffs), q)
 
 
 # SkewOperator and TaggedSeries check their mode and base the same way
@@ -77,7 +79,7 @@ def plain(coeffs, mode=THETA, q=None):
     "build",
     [
         lambda mode, q: SkewOperator(mode, [P(1), P(1)], q),
-        lambda mode, q: TaggedSeries(mode, 1, TruncatedSeries([1, 0]), q),
+        lambda mode, q: TaggedSeries(mode, 1, series([1, 0]), q),
     ],
     ids=["operator", "series"],
 )
@@ -100,52 +102,52 @@ def test_operator_base_outside_unit_interval(q):
     with pytest.raises(DegenerateOperator):
         SkewOperator(QSHIFT, [P(1), P(1)], q)
     # a tagged series carries any base; only the operator needs 0 < q < 1
-    assert TaggedSeries(QSHIFT, 1, TruncatedSeries([1, 0]), q).q == q
+    assert TaggedSeries(QSHIFT, 1, series([1, 0]), q).q == q
 
 
 class TestApplyTheta:
     def test_eigenvector(self):
         op = SkewOperator(THETA, [P(0), P(1)])
-        s = TaggedSeries(THETA, Q(-3, 4), TruncatedSeries([1, 0, 0]))
+        s = TaggedSeries(THETA, Q(-3, 4), series([1, 0, 0]))
         out = apply(op, s)
         assert out.offset == Q(-3, 4)
-        assert out.body == TruncatedSeries([Q(-3, 4), 0, 0])
+        assert out.body == series([Q(-3, 4), 0, 0])
 
     def test_theta_on_plain_body(self):
         op = SkewOperator(THETA, [P(0), P(1)])
-        assert apply(op, plain([1, 1, 1])).body == TruncatedSeries([0, 1, 2])
+        assert apply(op, plain([1, 1, 1])).body == series([0, 1, 2])
 
     def test_factored_product_constant_term(self):
         # (theta + 1/2)(theta + 1/3) = theta^2 + (5/6) theta + 1/6
         op = SkewOperator(THETA, [P(Q(1, 6)), P(Q(5, 6)), P(1)])
-        assert apply(op, plain([1, 0, 0])).body == TruncatedSeries([Q(1, 6), 0, 0])
+        assert apply(op, plain([1, 0, 0])).body == series([Q(1, 6), 0, 0])
         # on z^n the factored form multiplies by (n + 1/2)(n + 1/3)
         out = apply(op, plain([1, 1, 1]))
-        assert out.body == TruncatedSeries([Q(1, 6), 2, Q(35, 6)])
+        assert out.body == series([Q(1, 6), 2, Q(35, 6)])
 
     def test_polynomial_coefficients_enter_as_series(self):
         # L = (1 - z) acts by multiplication
         op = SkewOperator(THETA, [P(1, -1)])
-        assert apply(op, plain([1, 1, 1])).body == TruncatedSeries([1, 0, 0])
+        assert apply(op, plain([1, 1, 1])).body == series([1, 0, 0])
 
 
 class TestApplyQShift:
     def test_shift_scales_coefficients(self):
         op = SkewOperator(QSHIFT, [P(0), P(1)], q=Q(1, 2))
         s = plain([1, 1, 1], QSHIFT, Q(1, 2))
-        assert apply(op, s).body == TruncatedSeries([1, Q(1, 2), Q(1, 4)])
+        assert apply(op, s).body == series([1, Q(1, 2), Q(1, 4)])
 
     def test_eigenvalue_on_prefactor(self):
         # Delta(z^[mu] * 1) = mu z^[mu]
         op = SkewOperator(QSHIFT, [P(0), P(1)], q=Q(1, 2))
         mu = Q(5, 2)
-        s = TaggedSeries(QSHIFT, mu, TruncatedSeries([1, 0]), Q(1, 2))
-        assert apply(op, s).body == TruncatedSeries([mu, 0])
+        s = TaggedSeries(QSHIFT, mu, series([1, 0]), Q(1, 2))
+        assert apply(op, s).body == series([mu, 0])
 
     def test_double_shift(self):
         op = SkewOperator(QSHIFT, [P(0), P(0), P(1)], q=Q(1, 2))
         s = plain([0, 1, 0], QSHIFT, Q(1, 2))
-        assert apply(op, s).body == TruncatedSeries([0, Q(1, 4), 0])
+        assert apply(op, s).body == series([0, Q(1, 4), 0])
 
 
 class TestDualOperator:
@@ -394,8 +396,8 @@ class TestPairings:
     )
     def test_offset_mismatch_rejected(self, mode, q, pairing):
         op = SkewOperator(mode, [P(1), P(1), P(1)], q)
-        g = TaggedSeries(mode, Q(1, 3), TruncatedSeries([1, 0]), q)
-        f = TaggedSeries(mode, Q(1, 2), TruncatedSeries([1, 0]), q)
+        g = TaggedSeries(mode, Q(1, 3), series([1, 0]), q)
+        f = TaggedSeries(mode, Q(1, 2), series([1, 0]), q)
         with pytest.raises(OffsetMismatch):
             pairing(op, g, f)
 
@@ -409,10 +411,10 @@ class TestPairings:
 class TestWronskian:
     def test_single_constant(self):
         w = wronskian_det([plain([1, 0, 0])])
-        assert w.body == TruncatedSeries([1, 0, 0])
+        assert w.body == series([1, 0, 0])
 
     def test_dependent_rows_vanish(self):
-        s = TaggedSeries(THETA, Q(1, 2), TruncatedSeries([1, 2, 3, 4]))
+        s = TaggedSeries(THETA, Q(1, 2), series([1, 2, 3, 4]))
         w = wronskian_det([s, scale(s, 5)])
         assert w.body == zero(3)
 
@@ -423,8 +425,8 @@ class TestWronskian:
 
     def test_qshift_mode(self):
         q = Q(1, 2)
-        s1 = TaggedSeries(QSHIFT, Q(2), TruncatedSeries([1, 1, 0]), q)
-        s2 = TaggedSeries(QSHIFT, Q(3), TruncatedSeries([1, 0, 1]), q)
+        s1 = TaggedSeries(QSHIFT, Q(2), series([1, 1, 0]), q)
+        s2 = TaggedSeries(QSHIFT, Q(3), series([1, 0, 1]), q)
         w = wronskian_det([s1, s2])
         assert w.offset == Q(6)
         assert w.body != zero(2)
@@ -572,7 +574,7 @@ def test_head_comparison_is_the_inverse_check(family, r, moved, data):
         m[i][j] = rf_add(m[i][j], ratfunc(Polynomial([0] * power + [1])))
     elif moved == "swapped":
         m[i][j], m[j][i] = m[j][i], m[i][j]
-    passed = check_cells(m, inverse_series(psi, 2 * r + 1), lambda k, l, e: True).passed
+    passed = check_cells(m, inverse_table(psi, 2 * r + 1), lambda k, l, e: True).passed
     assert passed == (m == matrix_invert(psi))
     assert passed == (matrix_mul(m, psi) == matrix_identity(r))
     assert passed == (moved == "none" or (moved == "swapped" and m[i][j] == m[j][i]))
@@ -599,7 +601,7 @@ def test_inverse_series_matches_gauss_jordan(entries, n):
     inverse, whatever the order of the rows."""
     psi = [[Polynomial(entries[n * i + j]) for j in range(n)] for i in range(n)]
     N = 9
-    series = inverse_series(psi, N)
+    series = inverse_table(psi, N)
     if bareiss_det([[P(e.coefficient(0)) for e in row] for row in psi]).is_zero:
         assert series is None
     else:
@@ -612,15 +614,22 @@ def test_inverse_series_matches_gauss_jordan(entries, n):
     ids=["theta", "q=1/2", "q=2/3"],
 )
 def test_inverse_series_expands_the_inverse_of_psi(family, base):
+    """Through z^N at once, and as verify_duality forms it on a failing
+    cell: the head through z^(2r+1), then the same terms extended."""
     for r in range(2, 6):
         p = family.sample_params(random.Random(r), r, *base)
         psi, N = family.psi(family.operator(p)), 4 * r + 8
-        series = inverse_series(psi, N)
+        series = inverse_table(psi, N)
         _assert_expands(series, matrix_invert(psi), N)
+        extended = inverse_series(psi)
+        extended(2 * r + 1)
+        assert extended(N) == series
         # the common denominator is that of the coefficients, with no
         # factor the reduction left behind
         cells = [cell for row in series for cell in row]
-        coeffs = [c for cell in cells for c in series_of_integer_vector(*cell).coeffs]
+        coeffs = [
+            c for cell in cells for c in coefficients(series_of_integer_vector(*cell))
+        ]
         assert {d for _, d in cells} == {lcm(*(c.denominator for c in coeffs))}
 
 
@@ -632,7 +641,7 @@ def test_inverse_series_expands_the_inverse_of_psi(family, base):
 def test_inverse_series_refuses(psi):
     """An entry of degree 2, and a P0 = Psi(0) of rank 1 (although
     det Psi = z^2 - z is not zero), give no expansion."""
-    assert inverse_series(psi, 6) is None
+    assert inverse_series(psi) is None
 
 
 def _predicted_pivots(family, op):
