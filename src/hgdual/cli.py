@@ -35,14 +35,14 @@ EXIT_PRECISION = 4
 
 # The largest r, sample count and truncation order the commands accept,
 # so that every run ends in bounded time. One sample at r = 12 (seed 1,
-# default order; Python 3.11, Fraction backend, one CPU) takes about 0.17 s
-# for verify --hg and 0.21 s for verify --qhg --q 2/3 when the pairing
-# certificate holds and every cell passes, and 0.21 s resp. 0.34 s when one
-# cell fails, which extends the head of the series of Psi^{-1} to z^N. With
-# the certificate refused, the kernel forms the bilinear sums in one call of
-# 2r-1 outputs, and a failing cell takes 3.4 s resp. 36 s. MAX_ORDER is the
-# default truncation at r = MAX_R; verify --qhg --q 2/3 -r 2 took 110 s at
-# order 250 forming the sums.
+# default order; Python 3.11, Fraction backend, one CPU of a shared host)
+# takes about 0.12 s for verify --hg and 0.2 s for verify --qhg --q 2/3 when
+# the pairing certificate holds and every cell passes, and 0.11 s resp.
+# 0.32 s when one cell fails, which extends the head of the series of
+# Psi^{-1} to z^N. With the certificate refused, the kernel forms the
+# bilinear sums in one call of 2r-1 outputs, and a failing cell takes 3-5 s
+# resp. 38-47 s. MAX_ORDER is the default truncation at r = MAX_R;
+# verify --qhg --q 2/3 -r 2 took 87 s at order 250 forming the sums.
 MAX_R = 12
 MAX_SAMPLES = 100
 MAX_ORDER = minimum_order(MAX_R)

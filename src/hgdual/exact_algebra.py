@@ -33,7 +33,6 @@ __all__ = [
 ]
 
 _QZERO = Q(0)
-_QONE = Q(1)
 
 
 class PoleAtOrigin(ValueError):
@@ -54,19 +53,20 @@ def is_integer(x):
 
 
 class Polynomial:
-    """Univariate polynomial over Q, coefficients ascending in z.
-
-    The zero polynomial has an empty coefficient tuple and degree -1.
-    Trailing zero coefficients are stripped on construction.
+    """Univariate polynomial over Q: coefficient n of z^n is nums[n] / den,
+    in canonical form (den > 0, gcd(den, *nums) = 1, no trailing zero, and
+    the zero polynomial () over 1, of degree -1), so == compares nums and
+    den. Arithmetic runs on the integers and reduces each result once
+    (_poly); the constructor takes rationals and coeffs gives them back.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
-        cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = [c if isinstance(c, int) else rat(c) for c in coeffs]
+        den = lcm(*(int(c.denominator) for c in cs))
+        p = _poly([int(c.numerator) * (den // int(c.denominator)) for c in cs], den)
+        self.nums, self.den = p.nums, p.den
 
     @staticmethod
     def zero():
@@ -78,72 +78,63 @@ class Polynomial:
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self):
-        return not self.coeffs
-
-    def coefficient(self, n):
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else _QZERO
+        return not self.nums
 
     @property
-    def leading_coefficient(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+    def coeffs(self):
+        return tuple(Q(x, self.den) for x in self.nums)
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        if not isinstance(other, Polynomial):
+            return False
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
+    def __add__(self, other, sign=1):
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        out = [x * a for x in self.nums]
+        out.extend([0] * (len(other.nums) - len(out)))
+        for i, y in enumerate(other.nums):
+            out[i] += y * b
+        return _poly(out, den)
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            [self.coefficient(i) - other.coefficient(i) for i in range(n)]
-        )
+        return self.__add__(other, -1)
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return _poly([-x for x in self.nums], self.den)
 
     def __mul__(self, other):
         # schoolbook convolution; degrees stay tiny in this package
-        if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial(())
-            out = [_QZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, ci in enumerate(self.coeffs):
-                if ci == 0:
-                    continue
-                for j, cj in enumerate(other.coeffs):
-                    out[i + j] += ci * cj
-            return Polynomial(out)
-        return self.scale(other)
+        if not isinstance(other, Polynomial):
+            return self.scale(other)
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, x in enumerate(self.nums):
+            if x:
+                for j, y in enumerate(other.nums, i):
+                    out[j] += x * y
+        return _poly(out, self.den * other.den)
 
     def scale(self, c):
-        c = rat(c)
-        return Polynomial([c * x for x in self.coeffs])
+        c = c if isinstance(c, int) else rat(c)
+        u, w = int(c.numerator), int(c.denominator)
+        return _poly([x * u for x in self.nums], self.den * w)
 
     def theta(self):
         """z * d/dz: the coefficient of z^n multiplies by n."""
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)])
+        return _poly([i * x for i, x in enumerate(self.nums)], self.den)
 
     def scale_arg(self, c):
         """p(c*z): multiply the n-th coefficient by c^n."""
-        c = rat(c)
-        out, power = [], _QONE
-        for x in self.coeffs:
-            out.append(x * power)
-            power *= c
-        return Polynomial(out)
+        c = c if isinstance(c, int) else rat(c)
+        return _poly(*integer_scale_arg(list(self.nums), self.den, c))
 
     def __repr__(self):
         if self.is_zero:
@@ -161,6 +152,32 @@ class Polynomial:
         return " + ".join(parts)
 
 
+def _poly(nums, den):
+    """The Polynomial nums / den, nums a list of ints and den > 0, in
+    canonical form: trailing zeros stripped and one gcd sweep."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(den, *nums) if nums else den
+    p = object.__new__(Polynomial)
+    p.nums = tuple(nums) if g == 1 else tuple(x // g for x in nums)
+    p.den = den // g
+    return p
+
+
+def _divided(nums, p, q):
+    """The integer quotient of nums by q z - p, by synthetic division from
+    the top, or None when q z - p does not divide nums over Q. For
+    gcd(p, q) = 1 it is primitive, so by Gauss's lemma it divides nums
+    over Q exactly when every step divides by q and the remainder is 0."""
+    quot, c = [], 0
+    for x in reversed(nums[1:]):
+        c, rest = divmod(x + p * c, q)
+        if rest:
+            return None
+        quot.append(c)
+    return None if nums[0] + p * c else quot[::-1]
+
+
 class RationalFunction:
     """Reduced ratio num / den of two polynomials, den nonzero and made
     monic, built from num and the factors of den, each of degree 0 or 1:
@@ -170,45 +187,47 @@ class RationalFunction:
     here, and has no arithmetic on it.
 
     The factors are taken in turn. A zero factor raises ZeroDivisionError
-    and one of degree above 1 raises ValueError. A factor f0 + f1 z is
-    irreducible, so it divides num exactly when num vanishes at its root
-    -f0/f1; one Horner pass there gives both num(root) and the quotient.
-    If num(root) = 0, num becomes that quotient over f1 and the factor is
-    dropped; otherwise the factor joins den. This removes each root
-    min(its multiplicity in den, in num) times, which is the gcd: a kept
-    factor stays coprime to num, since if num(root) != 0, then
-    num = g (num / g) for a factor g divided out later gives
-    (num / g)(root) != 0.
+    and one of degree above 1 raises ValueError. A factor (g / e)(q z - p),
+    gcd(p, q) = 1, q > 0, is irreducible, so it divides num exactly when
+    q z - p divides the numerators of num (_divided); then num becomes the
+    quotient, and otherwise q z - p joins den. The scalars g / e and the
+    factors of degree 0 go into num at the end. This removes each root
+    min(its multiplicity in den, in num) times, which is the gcd: if
+    num(p/q) != 0, then num = h (num / h) for a factor h divided out later
+    gives (num / h)(p/q) != 0, so a kept factor stays coprime to num, and
+    a root where num did not vanish is not tried again.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, *factors):
-        den = Polynomial.one()
+        nums, den = list(num.nums), [1]
+        scale_num, scale_den, missed = 1, 1, set()
         for f in factors:
             if f.is_zero:
                 raise ZeroDivisionError("rational function with zero denominator")
             if f.degree > 1:
                 raise ValueError("denominator factor of degree above 1")
-            if num.is_zero:
+            if not nums:
                 continue
-            if f.degree == 1:
-                f0, f1 = f.coeffs
-                root, acc, quot = -f0 / f1, _QZERO, []
-                for c in reversed(num.coeffs):
-                    acc = acc * root + c
-                    quot.append(acc)
-                if quot.pop() == 0:
-                    num = Polynomial([x / f1 for x in reversed(quot)])
+            g = gcd(*f.nums) if f.nums[-1] > 0 else -gcd(*f.nums)
+            scale_num, scale_den = scale_num * g, scale_den * f.den
+            if f.degree == 0:
+                continue
+            p, q = -f.nums[0] // g, f.nums[1] // g
+            if (p, q) not in missed:
+                quot = _divided(nums, p, q)
+                if quot is not None:
+                    nums = quot
                     continue
-            den = den * f
-        if num.is_zero:
-            self.num, self.den = Polynomial(()), Polynomial.one()
-            return
-        lead = den.leading_coefficient
-        if lead != 1:
-            num, den = num.scale(1 / lead), den.scale(1 / lead)
-        self.num, self.den = num, den
+                missed.add((p, q))
+            den = [y * q - x * p for x, y in zip(den + [0], [0] + den)]
+        # num / prod(factors) = (nums / num.den) / ((scale_num / scale_den) den)
+        lead = scale_num * den[-1]
+        if lead < 0:
+            nums, lead = [-x for x in nums], -lead
+        self.num = _poly([x * scale_den for x in nums], num.den * lead)
+        self.den = _poly(den, den[-1])
 
     @staticmethod
     def zero():
@@ -384,10 +403,10 @@ def integer_first_mismatch(v, d, f):
     first nonzero one exactly when coefficient n of v/d is the first to
     differ from the expansion of f.
     """
-    if f.den.coefficient(0) == 0:
+    if not f.den.nums[0]:
         raise PoleAtOrigin("rational function has a pole at z = 0")
-    e = lcm(*(int(c.denominator) for c in f.num.coeffs + f.den.coeffs))
-    num, den = ([int(c * e) for c in g.coeffs] for g in (f.num, f.den))
+    e = lcm(f.num.den, f.den.den)
+    num, den = ([x * (e // g.den) for x in g.nums] for g in (f.num, f.den))
     for n in range(len(v)):
         acc = sum(map(mul, den[: n + 1], v[n::-1]))
         if acc != (num[n] * d if n < len(num) else 0):

@@ -370,6 +370,14 @@ def check_cells(m, sums, structure_ok):
     return VerificationReport(tuple(cells))
 
 
+def _low_coefficients(polys):
+    """(c0, c1, e): coefficients 0 and 1 of each of the Polynomials polys,
+    as integers over e, the lcm of their denominators."""
+    e = lcm(*(p.den for p in polys))
+    low = [[x * (e // p.den) for x in (*p.nums, 0, 0)[:2]] for p in polys]
+    return [c for c, _ in low], [c for _, c in low], e
+
+
 def annihilated(op, entries):
     """True when op, with coefficients A_j = alpha_j + beta_j z, annihilates
     each tagged series z^c phi of entries through the order of phi.
@@ -384,9 +392,7 @@ def annihilated(op, entries):
     """
     if any(a.degree > 1 for a in op.coeffs):
         return False
-    e = lcm(*(int(c.denominator) for a in op.coeffs for c in a.coeffs))
-    alpha = [int(a.coefficient(0) * e) for a in reversed(op.coeffs)]
-    beta = [int(a.coefficient(1) * e) for a in reversed(op.coeffs)]
+    alpha, beta, _ = _low_coefficients(op.coeffs[::-1])
     for f in entries:
         s, t = int(f.offset.numerator), int(f.offset.denominator)
         q = f.q or 1
@@ -455,18 +461,21 @@ def pairing_constants(psi, primal, dual, constants, N):
     has the eigenvalue x*_i + x_j + n under theta, resp. x*_i x_j q^n under
     Delta, where a constant has 0 resp. 1.
     """
-    at_zero = [[e.coefficient(0) for e in row] for row in psi]
+    r = len(psi)
+    at_zero, _, lift = _low_coefficients([x for row in psi for x in row])
     for i, (g, c) in enumerate(zip(dual, constants)):
         for j, f in enumerate(primal):
             if i == j:
-                total = sum(
-                    e * g.offset**k * f.offset**l
-                    for k, row in enumerate(at_zero)
-                    for l, e in enumerate(row)
-                )
+                # total = sum_kl Psi_kl(0) x*^k x^l over lift (t w)^(r-1)
+                s, t = int(f.offset.numerator), int(f.offset.denominator)
+                u, w = int(g.offset.numerator), int(g.offset.denominator)
+                xs = [s**l * t ** (r - 1 - l) for l in range(r)]
+                ys = [u**k * w ** (r - 1 - k) for k in range(r)]
+                total = sum(e * ys[n // r] * xs[n % r] for n, e in enumerate(at_zero))
                 # phi_i(0) psi_i(0) total = c, over the stored steps v_0
-                num = f.body.nums[0] * g.body.nums[0] * total
-                if num != c * f.body.steps[0] * g.body.steps[0]:
+                num = f.body.nums[0] * g.body.nums[0] * total * int(c.denominator)
+                den = f.body.steps[0] * g.body.steps[0] * lift * (t * w) ** (r - 1)
+                if num != int(c.numerator) * den:
                     return False
             elif f.mode == THETA:
                 e = g.offset + f.offset
@@ -510,16 +519,17 @@ def pairing_certifies(family, p, N, psi):
     return (
         annihilated(op, primal)
         and annihilated(dual_op, dual)
-        and op.coeffs[-1].coefficient(0) * dual_op.coeffs[-1].coefficient(0) != 0
+        and op.coeffs[-1].nums[0] * dual_op.coeffs[-1].nums[0] != 0
         and lagrange_identity(op, dual_op, psi)
         and pairing_constants(psi, primal, dual, family.c_constants(p), N)
     )
 
 
 def _reduced(t, d):
-    """The integer matrix t over d, divided by the gcd of d and its
-    entries."""
+    """The integer matrix t over d != 0, divided by the gcd of d and its
+    entries, taken with the sign of d so that the new d is positive."""
     g = gcd(d, *(x for row in t for x in row))
+    g = g if d > 0 else -g
     return [[x // g for x in row] for row in t], d // g
 
 
@@ -530,8 +540,11 @@ def inverse_series(psi):
     its terms, so that a higher N extends them.
 
     Its coefficients are S_0 = P0^(-1) and S_n = B S_(n-1) with
-    B = -P0^(-1) P1, both read from one elimination on [P0 | 1 | -P1], not
-    from matrix_invert. With e the lcm of their denominators, S_n is kept
+    B = -P0^(-1) P1, not from matrix_invert but from one fraction-free
+    (Bareiss) Gauss-Jordan elimination on the integer rows
+    e_i [P0 | 1 | -P1], e_i the lcm of the denominators of row i, whose
+    divisions by the last pivot d are exact and which ends in
+    d [1 | S_0 | B]. With e the lcm of their denominators, S_n is kept
     as T_n / d_n, where T_n = (e B) T_(n-1) over d_(n-1) e is reduced by
     the gcd of all its entries (_reduced), so that d_n is the lcm of the
     denominators of S_n and the heights stay those of S_n.
@@ -539,24 +552,25 @@ def inverse_series(psi):
     if any(x.degree > 1 for row in psi for x in row):
         return None
     r = len(psi)
-    rows = [
-        [x.coefficient(0) for x in row] + [Q(int(i == j)) for j in range(r)]
-        + [-x.coefficient(1) for x in row]
-        for i, row in enumerate(psi)
-    ]
+    rows = []
+    for i, row in enumerate(psi):
+        p0, p1, e = _low_coefficients(row)
+        rows.append(p0 + [e * (i == j) for j in range(r)] + [-x for x in p1])
+    last = 1
     for c in range(r):
         pivot = next((i for i in range(c, r) if rows[i][c]), None)
         if pivot is None:
             return None
         rows[c], rows[pivot] = rows[pivot], rows[c]
-        rows[c] = [x / rows[c][c] for x in rows[c]]
-        for i in range(r):
-            f = rows[i][c]
-            if i != c and f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    e = lcm(*(int(x.denominator) for row in rows for x in row[r:]))
-    step = [[int(x * e) for x in row[2 * r :]] for row in rows]
-    terms = [_reduced([[int(x * e) for x in row[r : 2 * r]] for row in rows], e)]
+        top = rows[c]
+        for i, row in enumerate(rows):
+            if i != c:
+                f = row[c]
+                rows[i] = [(top[c] * x - f * y) // last for x, y in zip(row, top)]
+        last = top[c]
+    both, e = _reduced([row[r:] for row in rows], last)
+    step = [row[r:] for row in both]
+    terms = [_reduced([row[:r] for row in both], e)]
 
     def through(N):
         while len(terms) <= N:

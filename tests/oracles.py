@@ -1,5 +1,7 @@
 """The direct definitions the tests compare the package with. No command
-runs any of them, so they live here and not in src/hgdual/: Euclid over Q
+runs any of them, so they live here and not in src/hgdual/: the polynomial
+over Fractions that Polynomial replaces and the Fraction Horner pass that
+RationalFunction replaced, Euclid over Q
 and the normal form of a RationalFunction with any denominator (reduced),
 the rational coefficients of a TruncatedSeries and the series of given
 ones over prefix-lcm steps, the Fraction term-ratio recurrence, Fraction
@@ -45,6 +47,103 @@ class ReconstructionFailed(ValueError):
     """No rational function within the degree bounds matches the series."""
 
 
+# -- Polynomial over Fractions: the reference of the integer Polynomial
+
+
+class FractionPolynomial:
+    """A polynomial as a tuple of rational coefficients, ascending in z,
+    trailing zeros stripped, with every operation taken coefficient by
+    coefficient on Fractions: what Polynomial computes on integer
+    numerators over one denominator."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [rat(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    def coefficient(self, n):
+        return self.coeffs[n] if 0 <= n < len(self.coeffs) else Q(0)
+
+    def __eq__(self, other):
+        return isinstance(other, FractionPolynomial) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return FractionPolynomial(
+            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
+        )
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return FractionPolynomial([-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        out = [Q(0)] * (len(self.coeffs) + len(other.coeffs))
+        for i, ci in enumerate(self.coeffs):
+            for j, cj in enumerate(other.coeffs):
+                out[i + j] += ci * cj
+        return FractionPolynomial(out)
+
+    def scale(self, c):
+        return FractionPolynomial([rat(c) * x for x in self.coeffs])
+
+    def theta(self):
+        return FractionPolynomial([i * c for i, c in enumerate(self.coeffs)])
+
+    def scale_arg(self, c):
+        return FractionPolynomial([x * rat(c) ** i for i, x in enumerate(self.coeffs)])
+
+
+def poly_coefficient(p, n):
+    """Coefficient n of the Polynomial p, 0 beyond its degree."""
+    return p.coeffs[n] if 0 <= n <= p.degree else Q(0)
+
+
+def horner_normal_form(num, *factors):
+    """The coefficients (num, den) of RationalFunction(num, *factors) by one
+    Fraction Horner pass at the root of every linear factor, none skipped:
+    the factor is dropped, and num divided by it, when num vanishes at its
+    root, and it joins den otherwise; den is made monic at the end."""
+    num, den = FractionPolynomial(num.coeffs), FractionPolynomial((1,))
+    for f in (FractionPolynomial(f.coeffs) for f in factors):
+        if f.is_zero:
+            raise ZeroDivisionError("rational function with zero denominator")
+        if f.degree > 1:
+            raise ValueError("denominator factor of degree above 1")
+        if num.is_zero:
+            continue
+        if f.degree == 1:
+            f0, f1 = f.coeffs
+            root, acc, quot = -f0 / f1, Q(0), []
+            for c in reversed(num.coeffs):
+                acc = acc * root + c
+                quot.append(acc)
+            if quot.pop() == 0:
+                num = FractionPolynomial([x / f1 for x in reversed(quot)])
+                continue
+        den = den * f
+    if num.is_zero:
+        return (), (Q(1),)
+    lead = den.coeffs[-1]
+    return num.scale(1 / lead).coeffs, den.scale(1 / lead).coeffs
+
+
 # -- Euclid over Q: the reference normal form of RationalFunction
 
 
@@ -57,7 +156,7 @@ def poly_divmod(p, d):
     if dq < 0:
         return Polynomial(()), p
     quot = [Q(0)] * (dq + 1)
-    lead = d.leading_coefficient
+    lead = d.coeffs[-1]
     for k in range(dq, -1, -1):
         c = rem[k + d.degree] / lead
         quot[k] = c
@@ -81,7 +180,7 @@ def poly_gcd(p, q):
     a, b = p, q
     while not b.is_zero:
         a, b = b, poly_divmod(a, b)[1]
-    return a.scale(1 / a.leading_coefficient)
+    return a.scale(1 / a.coeffs[-1])
 
 
 def reduced(num, den):
@@ -98,7 +197,7 @@ def reduced(num, den):
         return f
     g = poly_gcd(num, den)
     num, den = poly_divexact(num, g), poly_divexact(den, g)
-    lead = den.leading_coefficient
+    lead = den.coeffs[-1]
     f.num, f.den = num.scale(1 / lead), den.scale(1 / lead)
     return f
 
@@ -222,12 +321,12 @@ def series_invert(a):
 
 def series_of_poly(p, order):
     """The Polynomial p as a series through z^order."""
-    return series([p.coefficient(i) for i in range(order + 1)])
+    return series([poly_coefficient(p, i) for i in range(order + 1)])
 
 
 def series_of_ratfunc(f, order):
     """Maclaurin expansion of a rational function through z^order."""
-    if f.den.coefficient(0) == 0:
+    if poly_coefficient(f.den, 0) == 0:
         raise PoleAtOrigin("rational function has a pole at z = 0")
     return mul(series_of_poly(f.num, order), series_invert(series_of_poly(f.den, order)))
 
@@ -293,7 +392,7 @@ def rational_reconstruct(a, num_deg, den_deg):
             continue
         prod = mul(series_of_poly(den, order), a)
         f = reduced(Polynomial(coefficients(prod)[: num_deg + 1]), den)
-        if f.den.coefficient(0) == 0 or f.num.degree > num_deg:
+        if poly_coefficient(f.den, 0) == 0 or f.num.degree > num_deg:
             continue
         if series_of_ratfunc(f, order) == a:
             return f

@@ -57,6 +57,7 @@ from oracles import (
     gauss_jordan_invert,
     inverse_table,
     mul,
+    poly_coefficient,
     ratfunc,
     reduced,
     rf_add,
@@ -897,7 +898,7 @@ def test_mispaired_or_scaled_dual_basis_is_refused(monkeypatch, family, change):
 def _diagonal_constant(psi, f, g):
     """phi(0) psi(0) sum_kl Psi_kl(0) y^k x^l, for f = z^x phi, g = z^y psi."""
     return coefficients(f.body)[0] * coefficients(g.body)[0] * sum(
-        e.coefficient(0) * g.offset**k * f.offset**l
+        poly_coefficient(e, 0) * g.offset**k * f.offset**l
         for k, row in enumerate(psi)
         for l, e in enumerate(row)
     )

@@ -1,5 +1,7 @@
 """Kernel tests: polynomials, rational functions, series, reconstruction."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,12 +16,15 @@ from hgdual.exact_algebra import (
     integer_vector,
 )
 from oracles import (
+    FractionPolynomial,
     ReconstructionFailed,
     add,
     coefficients,
     evaluate,
+    horner_normal_form,
     mul,
     one,
+    poly_coefficient,
     poly_divmod,
     poly_gcd,
     ratfunc,
@@ -280,6 +285,50 @@ def test_poly_ring_axioms(f, g, h):
     assert f - f == Polynomial.zero()
 
 
+def assert_canonical(p):
+    """nums / den in canonical form, all ints: den > 0, gcd(den, *nums) = 1,
+    no trailing zero, and the zero polynomial over 1."""
+    assert type(p.den) is int and all(type(x) is int for x in p.nums)
+    assert p.den > 0 and gcd(p.den, *p.nums) == 1
+    assert p.nums[-1] != 0 if p.nums else p.den == 1
+
+
+# zero, constant and negative coefficients; lists of ints as well
+_coefficient_lists = st.one_of(
+    st.lists(rationals, max_size=5),
+    st.lists(st.integers(-4, 4), max_size=3),
+    st.just([]),
+    st.builds(lambda c: [c], rationals),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_coefficient_lists, b=_coefficient_lists, c=st.one_of(rationals, st.integers(-3, 3)))
+def test_polynomial_matches_the_fraction_reference(a, b, c):
+    """Each operation on integer numerators over one denominator gives the
+    coefficients of the same operation on Fractions, in canonical form."""
+    p, q = Polynomial(a), Polynomial(b)
+    fp, fq = FractionPolynomial(a), FractionPolynomial(b)
+    for got, want in [
+        (p, fp),
+        (p + q, fp + fq),
+        (p - q, fp - fq),
+        (-p, -fp),
+        (p * q, fp * fq),
+        (p * c, fp.scale(c)),
+        (p.scale(c), fp.scale(c)),
+        (p.theta(), fp.theta()),
+        (p.scale_arg(c), fp.scale_arg(c)),
+    ]:
+        assert got.coeffs == want.coeffs
+        assert got.degree == want.degree and got.is_zero == want.is_zero
+        assert_canonical(got)
+    assert (p == q) == (fp == fq)
+    if p == q:
+        assert hash(p) == hash(q)
+    assert p == Polynomial(fp.coeffs) and hash(p) == hash(Polynomial(fp.coeffs))
+
+
 def ratfunc_strategy():
     nonzero_poly = poly_strategy(3).filter(lambda p: not p.is_zero)
     return st.builds(reduced, poly_strategy(3), nonzero_poly)
@@ -324,6 +373,38 @@ def test_linear_factors_give_the_euclid_normal_form(factors, picks, shared, rest
         RationalFunction(num, *factors, Polynomial.zero())
 
 
+@pytest.mark.parametrize("excess", [-1, 0, 1], ids=["below", "equal", "above"])
+@settings(max_examples=60, deadline=None)
+@given(
+    rest=poly_strategy(3),
+    root=_roots,
+    in_den=st.integers(1, 3),
+    leads=st.lists(_leads, min_size=3, max_size=3),
+    others=st.lists(_factors, max_size=4),
+    order=st.randoms(use_true_random=False),
+    zero_num=st.booleans(),
+)
+def test_ratfunc_matches_the_fraction_horner_pass(
+    excess, rest, root, in_den, leads, others, order, zero_num
+):
+    """RationalFunction, by integer synthetic division and with roots where
+    num did not vanish skipped, gives the coefficients of the Fraction
+    Horner pass at every factor: with a root whose multiplicity in num is
+    below, equal to or above its multiplicity in the factors, factors of
+    negative leading coefficient, the factor z, factors of degree 0, and
+    num = 0."""
+    num = Polynomial.zero() if zero_num else rest
+    for _ in range(in_den + excess):
+        num = num * P(-root, 1)
+    factors = [_linear(root, lead) for lead in leads[:in_den]]
+    factors += others + [P(1, -1), P(0, leads[0]), P(leads[1])]
+    order.shuffle(factors)
+    f = RationalFunction(num, *factors)
+    assert (f.num.coeffs, f.den.coeffs) == horner_normal_form(num, *factors)
+    assert_canonical(f.num)
+    assert_canonical(f.den)
+
+
 @settings(max_examples=40, deadline=None)
 @given(f=ratfunc_strategy(), g=ratfunc_strategy(), h=ratfunc_strategy())
 def test_ratfunc_field_axioms(f, g, h):
@@ -358,7 +439,7 @@ def test_reconstruct_inverts_expansion(f):
 @settings(max_examples=80, deadline=None)
 @given(
     num=poly_strategy(6),
-    den=poly_strategy(6).filter(lambda p: p.coefficient(0) != 0),
+    den=poly_strategy(6).filter(lambda p: poly_coefficient(p, 0) != 0),
     r=st.integers(0, 4),
     extra=st.integers(0, 4),
 )
